@@ -1,16 +1,24 @@
-"""Vectorized exhaustive checks over dense index tables.
+"""Dense index tables: the one all-pairs builder and the exhaustive checks.
 
 Elements are packed into indices 0..N-1 (mixed radix, see PGroup.encode);
-a binary operation becomes an (N, N) int64 table of result indices.  All
-checks below are exact: they are pure table gathers plus coordinatewise
-modular integer arithmetic, evaluated over every tuple.
+a binary operation becomes an (N, N) int64 table of result indices.
 
-Only verification lives here.  The algebra itself never goes through
-these arrays.
+Carriers of at most TABLE_THRESHOLD elements get their tables from
+build_table, which evaluates a batched operation on (..., rank) coordinate
+arrays in row blocks: a block of left arguments shaped (R, 1, rank) against
+every right argument shaped (1, N, rank).  Batched operations come from the
+algebra itself (PreLieRing.dot_many, FlowContext.circ_many,
+Brace.circ_many); pointwise_many adapts a pointwise closure.
+
+Coordinates are int64 only when coord_dtype proves that every intermediate
+of the batched kernels fits; otherwise the same code runs on dtype=object
+Python ints.  The checks below are exact: pure table gathers plus
+coordinatewise modular integer arithmetic, evaluated over every tuple.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -18,7 +26,12 @@ import numpy as np
 from .groups import Element, PGroup
 
 __all__ = [
+    "TABLE_THRESHOLD",
     "IndexContext",
+    "coord_dtype",
+    "element_coords",
+    "encode_many",
+    "pointwise_many",
     "build_table",
     "check_identity",
     "check_associativity",
@@ -28,19 +41,46 @@ __all__ = [
     "check_additivity_steps",
 ]
 
+# Largest carrier that gets a dense (N, N) table.
+TABLE_THRESHOLD = 4096
+# Pairs evaluated at once by build_table.
+BLOCK_PAIRS = 1 << 20
+
+Many = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def coord_dtype(modulus: int, rank: int):
+    """int64 when rank**2 products of two residues below `modulus`, plus one
+    more residue, stay below 2**63; Python ints (dtype=object) otherwise."""
+    if rank * rank * (modulus - 1) ** 2 + modulus < 1 << 63:
+        return np.int64
+    return object
+
+
+@lru_cache(maxsize=64)
+def element_coords(group: PGroup) -> np.ndarray:
+    """Every element of a table-sized carrier as one row of a read-only
+    (N, rank) int64 array, row i being group.decode(i)."""
+    moduli = np.array(group.moduli, dtype=np.int64)
+    strides = np.array(group.strides, dtype=np.int64)
+    coords = (np.arange(group.order, dtype=np.int64)[:, None] // strides) % moduli
+    coords.flags.writeable = False
+    return coords
+
+
+def encode_many(group: PGroup, coords: np.ndarray) -> np.ndarray:
+    """Encoded indices of canonical (..., rank) coordinate arrays."""
+    return np.asarray(coords, dtype=np.int64) @ np.array(group.strides, dtype=np.int64)
+
 
 class IndexContext:
     """Coordinate matrix and encode/decode helpers for one group."""
 
     def __init__(self, group: PGroup):
         self.group = group
-        n = group.order
-        self.coords = np.empty((n, group.rank), dtype=np.int64)
-        for i in range(n):
-            self.coords[i] = group.decode(i)
+        self.coords = element_coords(group)
         self.moduli = np.array(group.moduli, dtype=np.int64)
-        self.strides = np.array([group.encode(g) for g in _unit_rows(group)],
-                                dtype=np.int64)
+        self.strides = np.array(group.strides, dtype=np.int64)
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         return coords @ self.strides
@@ -49,25 +89,34 @@ class IndexContext:
         return self.encode((self.coords[i] + self.coords[j]) % self.moduli)
 
 
-def _unit_rows(group: PGroup) -> list[Element]:
-    out = []
-    for k in range(group.rank):
-        v = [0] * group.rank
-        v[k] = 1
-        out.append(tuple(v))
-    return out
+def pointwise_many(op: Callable[[Element, Element], Element]) -> Many:
+    """Batched form of a pointwise operation: op on every broadcast pair,
+    one Python call each.  For closures with no batched evaluator."""
+    def op_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = np.broadcast_arrays(a, b)
+        out = np.empty(a.shape, dtype=object)
+        for idx in np.ndindex(a.shape[:-1]):
+            out[idx] = op(tuple(int(v) for v in a[idx]),
+                          tuple(int(v) for v in b[idx]))
+        return out
+    return op_many
 
 
-def build_table(group: PGroup, op: Callable[[Element, Element], Element]) -> np.ndarray:
-    """Dense (N, N) table of encoded results of a binary operation."""
+def build_table(group: PGroup, op_many: Many) -> np.ndarray:
+    """Dense (N, N) table of encoded results of a batched binary operation.
+
+    Rows go in blocks of at most BLOCK_PAIRS pairs; op_many receives the
+    block's left arguments as (R, 1, rank) and all right arguments as
+    (1, N, rank), and returns canonical (R, N, rank) coordinates.
+    """
     n = group.order
-    enc = group.encode
-    dec = [group.decode(i) for i in range(n)]
+    coords = element_coords(group)
     table = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(dec):
-        row = table[i]
-        for j, b in enumerate(dec):
-            row[j] = enc(op(a, b))
+    rows = max(1, BLOCK_PAIRS // n)
+    right = coords[None, :, :]
+    for start in range(0, n, rows):
+        left = coords[start:start + rows, None, :]
+        table[start:start + rows] = encode_many(group, op_many(left, right))
     return table
 
 

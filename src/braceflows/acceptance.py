@@ -13,6 +13,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 
+from ._tables import TABLE_THRESHOLD
 from .braces import Brace, quoted_identity_report, verify_brace
 from .correspondence import (
     DerivedPreLie,
@@ -66,7 +67,7 @@ def prepare_fixture(fixture: Fixture) -> PreparedFixture:
         ring = None
         brace = obj
     derived = derive(brace)
-    if derived.qgroup.order <= 4096:
+    if derived.qgroup.order <= TABLE_THRESHOLD:
         derived.build_tables()
     return PreparedFixture(fixture.name, fixture, ring, brace, derived)
 

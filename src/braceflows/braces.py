@@ -17,6 +17,10 @@ import math
 import random
 from typing import Callable, Iterable
 
+import numpy as np
+
+from . import _tables
+from ._tables import TABLE_THRESHOLD
 from .errors import InputError, StructureError
 from .groups import (
     Element,
@@ -40,7 +44,6 @@ __all__ = [
     "quoted_identity_report",
 ]
 
-TABLE_THRESHOLD = 4096
 MEMO_CAP = 1 << 20
 
 
@@ -50,29 +53,35 @@ class Brace:
     The circle operation is stored as a dense table of encoded indices when
     the carrier has at most TABLE_THRESHOLD elements, otherwise as the given
     closure plus a bounded memo cache (safe under CPython's atomic dict ops).
-    Construction does not verify the axioms; see verify_brace.
+    A batched form circ_many, when given, builds the table in one pass and
+    serves circ_many above the threshold.  Construction does not verify the
+    axioms; see verify_brace.
     """
 
     def __init__(self, group: PGroup, circ_fn: Callable[[Element, Element], Element] | None,
-                 table: list[list[int]] | None):
+                 table: list[list[int]] | None,
+                 circ_many: _tables.Many | None = None):
         self.group = group
         self._circ_fn = circ_fn
         self._table = table
+        self._circ_many = circ_many
+        self._array: np.ndarray | None = None
         self._memo: dict[tuple[Element, Element], Element] = {}
         self._inverses: dict[Element, Element] = {}
+        self.flow_context = None  # set by flows_brace
 
     # -- constructors ----------------------------------------------------------
     @classmethod
     def from_callable(cls, group: PGroup, circ: Callable[[Element, Element], Element],
-                      *, materialize: bool | None = None) -> "Brace":
+                      *, circ_many: _tables.Many | None = None,
+                      materialize: bool | None = None) -> "Brace":
         if materialize is None:
             materialize = group.order <= TABLE_THRESHOLD
-        if not materialize:
-            return cls(group, circ, None)
-        enc = group.encode
-        elems = [group.decode(i) for i in range(group.order)]
-        table = [[enc(circ(a, b)) for b in elems] for a in elems]
-        return cls(group, circ, table)
+        brace = cls(group, circ, None, circ_many)
+        if materialize:
+            brace._set_array(_tables.build_table(
+                group, circ_many or _tables.pointwise_many(circ)))
+        return brace
 
     @classmethod
     def from_table(cls, group: PGroup, table: list[list[int]]) -> "Brace":
@@ -84,6 +93,12 @@ class Brace:
                 if not (0 <= v < n):
                     raise InputError(f"table entry {v} out of range 0..{n - 1}")
         return cls(group, None, [list(row) for row in table])
+
+    def _set_array(self, array: np.ndarray) -> None:
+        # pointwise circ indexes the list form: faster than numpy scalars
+        array.flags.writeable = False
+        self._array = array
+        self._table = array.tolist()
 
     # -- operations -------------------------------------------------------------
     def circ(self, a: Element, b: Element) -> Element:
@@ -100,9 +115,24 @@ class Brace:
         self._memo[key] = val
         return val
 
+    def circ_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """circ on broadcast (..., rank) arrays of canonical coordinates."""
+        g = self.group
+        if self._table is not None:
+            idx = self.index_table()[_tables.encode_many(g, a), _tables.encode_many(g, b)]
+            return _tables.element_coords(g)[idx]
+        if self._circ_many is not None:
+            return self._circ_many(a, b)
+        return _tables.pointwise_many(self.circ)(a, b)
+
     def star(self, a: Element, b: Element) -> Element:
         g = self.group
         return g.sub(self.circ(a, b), g.add(a, b))
+
+    def star_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """star on broadcast (..., rank) arrays of canonical coordinates."""
+        circ = self.circ_many(a, b)
+        return (circ - a - b) % np.array(self.group.moduli, dtype=circ.dtype)
 
     def lambda_map(self, a: Element, b: Element) -> Element:
         return self.group.sub(self.circ(a, b), a)
@@ -136,11 +166,17 @@ class Brace:
         return t
 
     def circ_inverse(self, a: Element) -> Element:
+        """Two-sided circle inverse, checked before it is returned.  A flows
+        brace has it in closed form: for x = Omega(a) the inverse solves
+        W(x) + e^(L_x) b = 0, so b = -e^(-L_x) W(x) = W(-x)."""
         inv = self._inverses.get(a)
         if inv is not None:
             return inv
-        if self._table is not None:
-            g = self.group
+        g = self.group
+        ctx = self.flow_context
+        if ctx is not None:
+            inv = ctx.exp_map(g.neg(ctx.log_map(a)))
+        elif self._table is not None:
             row = self._table[g.encode(a)]
             try:
                 inv = g.decode(row.index(0))
@@ -148,25 +184,25 @@ class Brace:
                 raise StructureError(f"{a} has no right circle inverse") from None
         else:
             inv = self.circ_pow(a, self.circ_order(a) - 1)
-        if self.circ(a, inv) != self.group.zero or self.circ(inv, a) != self.group.zero:
+        if self.circ(a, inv) != g.zero or self.circ(inv, a) != g.zero:
             raise StructureError(f"inverse computation failed for {a}")
         self._inverses[a] = inv
         return inv
 
-    def index_table(self):
+    def index_table(self) -> np.ndarray:
         """Dense encoded circle table as an int64 array (small carriers only)."""
-        import numpy as np
-
-        if self._table is not None:
-            return np.array(self._table, dtype=np.int64)
-        if self.group.order > TABLE_THRESHOLD:
-            raise InputError(
-                f"carrier of order {self.group.order} exceeds the dense-table "
-                f"threshold {TABLE_THRESHOLD}"
-            )
-        from ._tables import build_table
-
-        return build_table(self.group, self.circ)
+        if self._array is None:
+            if self._table is not None:
+                self._array = np.array(self._table, dtype=np.int64)
+                self._array.flags.writeable = False
+            elif self.group.order > TABLE_THRESHOLD:
+                raise InputError(
+                    f"carrier of order {self.group.order} exceeds the dense-table "
+                    f"threshold {TABLE_THRESHOLD}"
+                )
+            else:
+                self._set_array(_tables.build_table(self.group, self.circ_many))
+        return self._array
 
 
 def trivial_brace(group: PGroup) -> Brace:
@@ -177,11 +213,22 @@ def trivial_brace(group: PGroup) -> Brace:
 class FactorBrace(Brace):
     """A brace on a quotient carrier, remembering where it came from."""
 
-    def __init__(self, parent: Brace, space: QuotientSpace,
-                 circ_fn, table):
-        super().__init__(space.group, circ_fn, table)
+    def __init__(self, parent: Brace, space: QuotientSpace):
+        qg = space.group
+
+        def qcirc(x: Element, y: Element) -> Element:
+            return space.project(parent.circ(space.lift(x), space.lift(y)))
+
+        def qcirc_many(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            # canonical representatives are parent coordinates already
+            out = parent.circ_many(x, y)
+            return out % np.array(qg.moduli, dtype=out.dtype)
+
+        super().__init__(qg, qcirc, None, qcirc_many)
         self.parent = parent
         self.space = space
+        if qg.order <= TABLE_THRESHOLD:
+            self._set_array(_tables.build_table(qg, qcirc_many))
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +395,7 @@ def factor_brace(brace: Brace, sub: Subgroup, *, check: bool = True,
     space = quotient(g, sub)
     if check:
         _check_ideal(brace, sub, samples=samples, seed=seed)
-    qg = space.group
-
-    def qcirc(x: Element, y: Element) -> Element:
-        return space.project(brace.circ(space.lift(x), space.lift(y)))
-
-    if qg.order <= TABLE_THRESHOLD:
-        enc = qg.encode
-        elems = [qg.decode(i) for i in range(qg.order)]
-        table = [[enc(qcirc(a, b)) for b in elems] for a in elems]
-        return FactorBrace(brace, space, None, table)
-    return FactorBrace(brace, space, qcirc, None)
+    return FactorBrace(brace, space)
 
 
 def ideal_quotient(brace: Brace, i: int, kind: str = "ann", **kw) -> FactorBrace:
@@ -517,7 +554,7 @@ def quoted_identity_report(brace: Brace, *, samples: int = 10_000,
             bad = f"a={a} k={k} (power form)"
             break
         bchain = _star_chain_on(brace, a, b, g.n + 1)
-        expect = _binomial_star_sum(brace, bchain, k)
+        expect = _binomial_circ_pow(brace, bchain, k)
         if brace.star(direct, b) != expect:
             bad = f"a={a} b={b} k={k} (star form)"
             break
@@ -602,16 +639,6 @@ def _star_chain_on(brace: Brace, a: Element, b: Element, limit: int) -> list[Ele
             break
         out.append(brace.star(a, out[-1]))
     return out
-
-
-def _binomial_star_sum(brace: Brace, bchain: list[Element], k: int) -> Element:
-    g = brace.group
-    acc = g.zero
-    for i, e in enumerate(bchain, start=1):
-        if i > k:
-            break
-        acc = g.add(acc, g.smul(math.comb(k, i), e))
-    return acc
 
 
 def _circ_closure(brace: Brace, seed_set: set) -> set:

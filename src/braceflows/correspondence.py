@@ -29,6 +29,9 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._tables import TABLE_THRESHOLD, IndexContext, build_table, coord_dtype
 from .braces import Brace, factor_brace, ideal_quotient
 from .errors import InputError, StructureError
 from .flows import flows_brace
@@ -55,9 +58,6 @@ __all__ = [
     "reconstruction_report",
 ]
 
-TABLE_CAP = 4096
-
-
 # ---------------------------------------------------------------------------
 # forward passage
 
@@ -83,7 +83,7 @@ class DerivedPreLie:
         representative choice because ann(p^2) stars into ann(p) both ways."""
         if self._odot_tab is not None:
             qg = self.qgroup
-            return qg.decode(self._odot_tab[qg.encode(x)][qg.encode(y)])
+            return qg.decode(int(self._odot_tab[qg.encode(x), qg.encode(y)]))
         return self._odot_direct(x, y)
 
     def _odot_direct(self, x: Element, y: Element) -> Element:
@@ -95,7 +95,7 @@ class DerivedPreLie:
     def prelie_product(self, x: Element, y: Element) -> Element:
         if self._bullet_tab is not None:
             qg = self.qgroup
-            return qg.decode(self._bullet_tab[qg.encode(x)][qg.encode(y)])
+            return qg.decode(int(self._bullet_tab[qg.encode(x), qg.encode(y)]))
         qg = self.qgroup
         p = self.p
         acc = qg.zero
@@ -106,42 +106,52 @@ class DerivedPreLie:
 
     # -- dense tables -------------------------------------------------------------
     def build_tables(self) -> None:
-        """Materialize transported_star and prelie_product as index tables."""
+        """Materialize transported_star and prelie_product as index tables;
+        the transported star comes from one batched star(p a, b) pass."""
         if self._bullet_tab is not None:
             return
         qg = self.qgroup
         n = qg.order
-        if n > TABLE_CAP:
-            raise InputError(f"quotient of order {n} exceeds the table cap {TABLE_CAP}")
-        import numpy as np
+        if n > TABLE_THRESHOLD:
+            raise InputError(f"quotient of order {n} exceeds the table cap {TABLE_THRESHOLD}")
+        g = self.source.group
+        p = self.p
+        dtype = coord_dtype(g.p ** g.max_exp, g.rank)
+        moduli = np.array(g.moduli, dtype=dtype)
+        qmoduli = np.array(qg.moduli, dtype=dtype)
 
-        enc = qg.encode
-        elems = [qg.decode(i) for i in range(n)]
-        odot = np.empty((n, n), dtype=np.int64)
-        for i, x in enumerate(elems):
-            row = odot[i]
-            for j, y in enumerate(elems):
-                row[j] = enc(self._odot_direct(x, y))
+        def odot_many(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            # class representatives are source coordinates already
+            x, y = x.astype(dtype), y.astype(dtype)
+            u = self.source.star_many(p * x % moduli, y)
+            bad = (u % p != 0).any(axis=-1)
+            if bad.any():
+                first = np.argwhere(bad)[0]
+                divide_by_p(g, tuple(int(c) for c in u[tuple(first)]))
+            return u // p % qmoduli
+
+        odot = build_table(qg, odot_many)
         self._odot_tab = odot
-
-        from ._tables import IndexContext
 
         ctx = IndexContext(qg)
         coords, moduli = ctx.coords, ctx.moduli
-        p = self.p
+        qmod = qg.scalars.modulus
         acc = np.zeros((n, n, qg.rank), dtype=np.int64)
         idx = np.arange(n)
         for i in range(p - 1):
-            perm = ctx.encode((coords * self.unit_powers[i]) % moduli)  # x -> u^i x
-            acc += coords[odot[perm[idx], :]] * self.unit_powers[p - 1 - i]
+            # x -> u^i x, then weight u^(p-1-i); units reduced mod the
+            # quotient's exponent modulus keep the products small
+            perm = ctx.encode((coords * (self.unit_powers[i] % qmod)) % moduli)
+            acc += coords[odot[perm[idx], :]] * (self.unit_powers[p - 1 - i] % qmod)
             acc %= moduli
         self._bullet_tab = ctx.encode(acc % moduli)
 
     def ring(self) -> PreLieRing:
-        """The derived product as a PreLieRing on the quotient group."""
-        if self.qgroup.order <= TABLE_CAP:
+        """The derived product as a PreLieRing on the quotient group; it
+        carries the dense product table when the quotient is table-sized."""
+        if self.qgroup.order <= TABLE_THRESHOLD:
             self.build_tables()
-        return PreLieRing.from_callable(self.qgroup, self.prelie_product)
+        return PreLieRing(self.qgroup, self.prelie_product, None, self._bullet_tab)
 
 
 def derive(brace: Brace) -> DerivedPreLie:
@@ -538,6 +548,8 @@ def verify_flows_roundtrip(ring: PreLieRing, *, exhaustive: bool | None = None,
     g = ring.group
     qg = d.qgroup
     p = g.p
+    if qg.order <= TABLE_THRESHOLD:
+        d.build_tables()
     if exhaustive is None:
         exhaustive = qg.order ** 2 <= 200_000
     if exhaustive:

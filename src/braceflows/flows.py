@@ -12,13 +12,18 @@ once the chain reaches zero at level s, and s <= n+1 < p keeps every 1/k!
 a unit.  Sums truncate by exact elementwise zero detection, with the chain
 index as a hard structural cap.
 
-Omega is computed by the fixed-point iteration x <- a - (W(x) - x); if the
-iteration fails to stabilize within the cap (no left-nilpotent input in
-scope does), the finite carrier is enumerated to invert W exactly, and an
-error is raised only if W is genuinely non-invertible.
+Omega is computed by the fixed-point iteration x <- a - (W(x) - x).  On a
+left-nilpotent ring the error drops one chain level per step, so it
+stabilizes within the chain index; if it does not, StructureError.
+
+Every series has a batched twin (exp_many, log_many, apply_exp_many,
+circ_many) on (..., rank) coordinate arrays, running on the ring's
+dot_many; flows_brace tabulates small carriers through it in one pass.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .braces import Brace
 from .errors import StructureError
@@ -27,6 +32,9 @@ from .padic import ScalarRing, inverse_factorial
 from .prelie import PreLieRing, ring_left_chain
 
 __all__ = ["FlowContext", "flows_brace"]
+
+_TRUNCATION = ("{} series failed to truncate at the nilpotency index; "
+               "input ring is inconsistent")
 
 
 class FlowContext:
@@ -48,7 +56,8 @@ class FlowContext:
         self.inv_fact = [inverse_factorial(k, self.scalars)
                          for k in range(self.index)]
         self._omega_cache: dict[Element, Element] = {}
-        self._w_inverse_table: dict[Element, Element] | None = None
+        self.dtype = ring.dtype
+        self.moduli = np.array(g.moduli, dtype=self.dtype)
 
     # -- series ----------------------------------------------------------------
     def apply_exp(self, a: Element, b: Element) -> Element:
@@ -62,10 +71,7 @@ class FlowContext:
             if term == g.zero:
                 break
             if k >= len(self.inv_fact):
-                raise StructureError(
-                    "exponential series failed to truncate at the nilpotency "
-                    "index; input ring is inconsistent"
-                )
+                raise StructureError(_TRUNCATION.format("exponential"))
             acc = g.add(acc, g.smul(self.inv_fact[k], term))
         return acc
 
@@ -80,10 +86,7 @@ class FlowContext:
             if term == g.zero:
                 break
             if k >= len(self.inv_fact):
-                raise StructureError(
-                    "flow series failed to truncate at the nilpotency index; "
-                    "input ring is inconsistent"
-                )
+                raise StructureError(_TRUNCATION.format("flow"))
             acc = g.add(acc, g.smul(self.inv_fact[k], term))
         return acc
 
@@ -100,23 +103,64 @@ class FlowContext:
                 self._omega_cache[a] = x
                 return x
             x = g.sub(a, g.sub(w, x))
-        x = self._invert_by_enumeration(a)  # pragma: no cover - safety net
-        self._omega_cache[a] = x
-        return x
+        raise StructureError(self._no_inverse(a))
 
-    def _invert_by_enumeration(self, a: Element) -> Element:  # pragma: no cover
-        if self._w_inverse_table is None:
-            table: dict[Element, Element] = {}
-            for x in self.group.elements():
-                w = self.exp_map(x)
-                if w in table:
-                    raise StructureError(f"W is not injective: W({table[w]}) = W({x})")
-                table[w] = x
-            self._w_inverse_table = table
-        try:
-            return self._w_inverse_table[a]
-        except KeyError:
-            raise StructureError(f"{a} is not in the image of W") from None
+    def _no_inverse(self, a: Element) -> str:
+        return (f"W could not be inverted at {a}: the fixed-point iteration "
+                f"did not stabilize within {self.index + 1} steps")
+
+    # -- batched series -------------------------------------------------------
+    def _series(self, x: np.ndarray, term: np.ndarray, acc: np.ndarray,
+                first: int, name: str) -> np.ndarray:
+        """acc + sum_{k>=first} (1/k!) L_x^(k-first+1)(term).  As in the
+        pointwise series, an entry stops at its first zero term; the batch
+        stops when every entry has."""
+        live = True
+        for k in range(first, self.index + first):
+            term = self.ring.dot_many(x, term) * live
+            live = term.any(axis=-1, keepdims=True)
+            if not live.any():
+                break
+            if k >= len(self.inv_fact):
+                raise StructureError(_TRUNCATION.format(name))
+            acc = (acc + self.inv_fact[k] * term) % self.moduli
+        return acc
+
+    def _coerce(self, a: np.ndarray) -> np.ndarray:
+        return np.asarray(a, dtype=self.dtype)
+
+    def apply_exp_many(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """apply_exp on broadcast (..., rank) coordinate arrays."""
+        x, b = self._coerce(x), self._coerce(b)
+        zero = np.zeros(np.broadcast_shapes(x.shape, b.shape), dtype=self.dtype)
+        return self._series(x, b, zero, 1, "exponential")
+
+    def exp_many(self, x: np.ndarray) -> np.ndarray:
+        """exp_map on a (..., rank) coordinate array."""
+        x = self._coerce(x)
+        return self._series(x, x, x, 2, "flow")
+
+    def log_many(self, a: np.ndarray) -> np.ndarray:
+        """log_map on a (..., rank) coordinate array; the same iteration,
+        run until every entry is a fixed point."""
+        a = self._coerce(a)
+        x = a
+        for _ in range(self.index + 1):
+            w = self.exp_many(x)
+            bad = (w != a).any(axis=-1)
+            if not bad.any():
+                return x
+            x = (a - (w - x)) % self.moduli
+        first = tuple(int(c) for c in a[tuple(np.argwhere(bad)[0])])
+        raise StructureError(self._no_inverse(first))
+
+    def circ_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a circ b on broadcast (..., rank) arrays.  Omega runs on a's own
+        shape, so a (N, 1, rank) block against (1, M, rank) right arguments
+        computes it once per left argument."""
+        a, b = self._coerce(a), self._coerce(b)
+        star = self.apply_exp_many(self.log_many(a), b)
+        return (a + b + star) % self.moduli
 
     # -- the brace --------------------------------------------------------------
     def star(self, a: Element, b: Element) -> Element:
@@ -134,7 +178,7 @@ def flows_brace(ring: PreLieRing, *, verify: bool = True,
     brace's axioms are also checked and a failure raises StructureError.
     """
     ctx = FlowContext(ring)
-    brace = Brace.from_callable(ring.group, ctx.circ)
+    brace = Brace.from_callable(ring.group, ctx.circ, circ_many=ctx.circ_many)
     brace.flow_context = ctx
     if verify:
         from .braces import verify_brace

@@ -25,7 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .braces import TABLE_THRESHOLD, Brace, verify_brace
+from ._tables import TABLE_THRESHOLD
+from .braces import Brace, verify_brace
 from .errors import InputError, StructureError
 from .flows import flows_brace
 from .groups import Element, PGroup

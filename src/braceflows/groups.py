@@ -96,6 +96,11 @@ class PGroup:
         return len(self.factors)
 
     @property
+    def strides(self) -> tuple[int, ...]:
+        """Mixed-radix weights of encode, last coordinate fastest."""
+        return self._strides
+
+    @property
     def zero(self) -> Element:
         return (0,) * len(self.factors)
 

@@ -18,6 +18,10 @@ from __future__ import annotations
 import random
 from typing import Callable
 
+import numpy as np
+
+from . import _tables
+from ._tables import TABLE_THRESHOLD
 from .errors import InputError, StructureError
 from .groups import (
     Element,
@@ -39,17 +43,26 @@ __all__ = [
     "zero_ring",
 ]
 
-TABLE_THRESHOLD = 4096
-
 
 class PreLieRing:
-    """Biadditive product on a PGroup carrier."""
+    """Biadditive product on a PGroup carrier.
+
+    The product is given pointwise by a closure, and optionally by structure
+    constants sc or by a dense (N, N) index table.  dot_many evaluates it on
+    (..., rank) coordinate arrays: an einsum over sc, a gather from the
+    table, or the closure pointwise.
+    """
 
     def __init__(self, group: PGroup, dot_fn: Callable[[Element, Element], Element],
-                 sc: dict[tuple[int, int], Element] | None):
+                 sc: dict[tuple[int, int], Element] | None,
+                 table: np.ndarray | None = None):
         self.group = group
         self._dot_fn = dot_fn
         self.sc = sc  # generator products, when structure-constant backed
+        self.table = table
+        self.modulus = group.p ** group.max_exp  # every coordinate modulus divides it
+        self.dtype = _tables.coord_dtype(self.modulus, group.rank)
+        self._tensor = None
 
     @classmethod
     def from_structure_constants(cls, group: PGroup,
@@ -103,6 +116,30 @@ class PreLieRing:
     def dot(self, a: Element, b: Element) -> Element:
         return self._dot_fn(a, b)
 
+    def dot_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The product on broadcast (..., rank) arrays of canonical
+        coordinates, returned in self.dtype."""
+        g = self.group
+        if self.sc is not None:
+            r = g.rank
+            if self._tensor is None:
+                self._tensor = np.array(
+                    [self.sc[(j, k)] for j in range(r) for k in range(r)],
+                    dtype=self.dtype)
+            a = np.asarray(a, dtype=self.dtype)
+            b = np.asarray(b, dtype=self.dtype)
+            # a_j b_k reduced mod self.modulus keeps each term below modulus**2
+            outer = (a[..., :, None] * b[..., None, :]) % self.modulus
+            out = outer.reshape(outer.shape[:-2] + (r * r,)) @ self._tensor
+            return out % np.array(g.moduli, dtype=self.dtype)
+        if self.table is None and g.order <= TABLE_THRESHOLD:
+            self.index_table()
+        if self.table is not None:
+            coords = _tables.element_coords(g)
+            out = coords[self.table[_tables.encode_many(g, a), _tables.encode_many(g, b)]]
+            return out.astype(self.dtype)
+        return _tables.pointwise_many(self.dot)(a, b).astype(self.dtype)
+
     @property
     def biadditive_by_construction(self) -> bool:
         return self.sc is not None
@@ -119,17 +156,18 @@ class PreLieRing:
                 out[(j, k)] = self.dot(a, b)
         return out
 
-    def index_table(self):
-        import numpy as np
-
-        if self.group.order > TABLE_THRESHOLD:
-            raise InputError(
-                f"carrier of order {self.group.order} exceeds the dense-table "
-                f"threshold {TABLE_THRESHOLD}"
-            )
-        from ._tables import build_table
-
-        return build_table(self.group, self.dot)
+    def index_table(self) -> np.ndarray:
+        """Dense encoded product table (small carriers only); built once."""
+        if self.table is None:
+            if self.group.order > TABLE_THRESHOLD:
+                raise InputError(
+                    f"carrier of order {self.group.order} exceeds the dense-table "
+                    f"threshold {TABLE_THRESHOLD}"
+                )
+            op = (self.dot_many if self.sc is not None
+                  else _tables.pointwise_many(self.dot))
+            self.table = _tables.build_table(self.group, op)
+        return self.table
 
 
 def zero_ring(group: PGroup) -> PreLieRing:
@@ -298,7 +336,11 @@ def scalar_twist(ring: PreLieRing, s: int) -> PreLieRing:
     if ring.sc is not None:
         sc = {jk: g.smul(s, v) for jk, v in ring.sc.items()}
         return PreLieRing.from_structure_constants(g, sc)
-    return PreLieRing.from_callable(g, lambda a, b: g.smul(s, ring.dot(a, b)))
+    table = None
+    if ring.table is not None:
+        ctx = _tables.IndexContext(g)
+        table = ctx.encode(ctx.coords[ring.table] * (s % ring.modulus) % ctx.moduli)
+    return PreLieRing(g, lambda a, b: g.smul(s, ring.dot(a, b)), None, table)
 
 
 def factor_ring(ring: PreLieRing, sub: Subgroup, *, check: bool = True) -> PreLieRing:
