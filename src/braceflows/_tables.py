@@ -12,8 +12,18 @@ Brace.circ_many); pointwise_many adapts a pointwise closure.
 
 Coordinates are int64 only when coord_dtype proves that every intermediate
 of the batched kernels fits; otherwise the same code runs on dtype=object
-Python ints.  The checks below are exact: pure table gathers plus
-coordinatewise modular integer arithmetic, evaluated over every tuple.
+Python ints.
+
+The check_* kernels decide an axiom over the whole carrier without visiting
+every tuple.  Each checks the law where one argument is a generator (or on
+generator triples), and an argument over generators proves it everywhere:
+Light's test for associativity, generator increments for the additive
+laws.  That costs O(N^2) table gathers per generator.  Only the pre-Lie
+identity of a product that is not biadditive falls back to all N^3
+triples.  Every check is exact (table gathers plus coordinatewise modular
+integer arithmetic) and returns a witness that fails the law as stated.
+exhaustive_for is the one rule for when axiom reports use these kernels
+instead of sampling.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ __all__ = [
     "encode_many",
     "pointwise_many",
     "build_table",
+    "exhaustive_for",
     "check_identity",
     "check_associativity",
     "check_solvability",
@@ -43,7 +54,9 @@ __all__ = [
 
 # Largest carrier that gets a dense (N, N) table.
 TABLE_THRESHOLD = 4096
-# Pairs evaluated at once by build_table.
+# Carriers this small are always checked exhaustively.
+ALWAYS_EXHAUSTIVE = 125
+# Pairs evaluated at once by build_table and the check kernels.
 BLOCK_PAIRS = 1 << 20
 
 Many = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -120,11 +133,29 @@ def build_table(group: PGroup, op_many: Many) -> np.ndarray:
     return table
 
 
-def _first_bad(mask: np.ndarray) -> tuple[int, int] | None:
-    bad = np.argwhere(mask)
-    if bad.size == 0:
-        return None
-    return int(bad[0][0]), int(bad[0][1])
+def exhaustive_for(order: int, exhaustive: bool | None = None) -> bool:
+    """The one rule for exhaustive versus sampled axiom checks: always
+    exhaustive up to ALWAYS_EXHAUSTIVE elements, by default on every carrier
+    that gets a dense table, and as requested otherwise."""
+    if order <= ALWAYS_EXHAUSTIVE:
+        return True
+    if exhaustive is None:
+        return order <= TABLE_THRESHOLD
+    return exhaustive
+
+
+def _first_bad(n: int, mask_rows: Callable[[slice], np.ndarray]) -> tuple[int, int] | None:
+    """First (row, column), in row-major order, where mask_rows is True.
+
+    mask_rows maps a slice of rows to their (R, n) boolean mask; it is called
+    on blocks of at most BLOCK_PAIRS pairs, so no intermediate grows past that.
+    """
+    step = max(1, BLOCK_PAIRS // max(n, 1))
+    for start in range(0, n, step):
+        bad = np.argwhere(mask_rows(slice(start, start + step)))
+        if bad.size:
+            return start + int(bad[0][0]), int(bad[0][1])
+    return None
 
 
 def check_identity(table: np.ndarray) -> int | None:
@@ -140,16 +171,47 @@ def check_identity(table: np.ndarray) -> int | None:
     return None
 
 
-def check_associativity(table: np.ndarray) -> tuple[int, int, int] | None:
-    """(a op b) op c == a op (b op c) over every triple; witness on failure."""
+def _greedy_generators(table: np.ndarray) -> list[int]:
+    """Indices whose left-nested products g1 op g2 op ... op gk reach every
+    index of the table.
+
+    Greedy: the smallest index not yet reached becomes a generator, and the
+    reached set is closed under right multiplication by every generator so
+    far.  The closure starts from the generators themselves, so nothing is
+    assumed about index 0.  For a group at most log2(N) + 1 generators are
+    chosen, since each one at least doubles the subgroup reached.
+    """
     n = table.shape[0]
-    for c in range(n):
-        col = table[:, c]
-        left = col[table]            # (a op b) op c
-        right = table[:, col]        # a op (b op c)
-        w = _first_bad(left != right)
+    reached = np.zeros(n, dtype=bool)
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        cols = np.array(gens, dtype=np.int64)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            new = np.zeros(n, dtype=bool)
+            new[table[frontier[:, None], cols[None, :]]] = True
+            new &= ~reached
+            reached |= new
+            frontier = np.flatnonzero(new)
+    return gens
+
+
+def check_associativity(table: np.ndarray) -> tuple[int, int, int] | None:
+    """Light's associativity test: (x op g) op y == x op (g op y) for every
+    x, y and every g of _greedy_generators(table).
+
+    Complete (Clifford & Preston, Algebraic Theory of Semigroups I, 1.2):
+    the set of g satisfying the identity for all x, y is closed under op,
+    so it contains every product of generators, which is every index.
+    O(N^2) per generator; the witness (x, g, y) fails associativity as stated.
+    """
+    n = table.shape[0]
+    for g in _greedy_generators(table):
+        w = _first_bad(n, lambda rows: table[table[rows, g]] != table[rows][:, table[g]])
         if w is not None:
-            return (w[0], w[1], c)
+            return (w[0], g, w[1])
     return None
 
 
@@ -161,34 +223,66 @@ def check_solvability(table: np.ndarray) -> int | None:
 
 
 def check_left_brace_law(ctx: IndexContext, circ: np.ndarray) -> tuple[int, int, int] | None:
-    """a circ (b + c) == a circ b - a + a circ c over every triple."""
+    """a circ (b + c) == a circ b - a + a circ c for every a, b, c.
+
+    The law says that every lambda_a(x) = a circ x - a is additive.  Checked
+    as lambda_a(0) == 0 (a circ 0 == a, witness (a, 0, 0)) and then
+    lambda_a(b + g) == lambda_a(b) + lambda_a(g) for every a, b and every
+    group generator g, which proves it for every c by induction on the
+    coordinates of c.  O(N^2 x rank) checks; the witness (a, b, c) fails the
+    law as stated.
+    """
     n = circ.shape[0]
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int64)
+    bad = np.flatnonzero(circ[:, 0] != idx)
+    if bad.size:
+        return (int(bad[0]), 0, 0)
     coords, moduli = ctx.coords, ctx.moduli
-    for c in range(n):
-        bpc = ctx.add_index(idx, np.full(n, c))
-        left = circ[:, bpc]                       # a circ (b+c), shape (N, N)
-        rhs = (coords[circ]                       # a circ b
-               - coords[:, None, :]               # - a
-               + coords[circ[:, c]][:, None, :]   # + a circ c
-               ) % moduli
-        right = ctx.encode(rhs)
-        w = _first_bad(left != right)
+    for gen in ctx.group.generators():
+        g = ctx.group.encode(gen)
+        shifted = ctx.add_index(idx, np.full(n, g, dtype=np.int64))
+
+        def mask(rows: slice) -> np.ndarray:
+            lhs = circ[rows][:, shifted]                     # a circ (b+g)
+            rhs = (coords[circ[rows]]                        # a circ b
+                   - coords[rows, None, :]                   # - a
+                   + coords[circ[rows, g]][:, None, :]       # + a circ g
+                   ) % moduli
+            return lhs != ctx.encode(rhs)
+
+        w = _first_bad(n, mask)
         if w is not None:
-            return (w[0], w[1], c)
+            return (w[0], w[1], g)
     return None
 
 
 def check_prelie_symmetry(ctx: IndexContext, dot: np.ndarray) -> tuple[int, int, int] | None:
-    """(a.b).c - a.(b.c) must be symmetric in (a, b) for every c."""
+    """(a.b).c - a.(b.c) must be symmetric in (a, b) for every c.
+
+    When check_additivity_steps proves the product biadditive, the
+    associator is additive in each argument, so generator triples decide
+    the identity.  Otherwise every triple is scanned, in O(N^3).
+    """
+    if check_additivity_steps(ctx, dot) is not None:
+        return _prelie_symmetry_scan(ctx, dot)
+    group = ctx.group
+    gens = np.array([group.encode(g) for g in group.generators()], dtype=np.int64)
+    a, b, c = np.ix_(gens, gens, gens)
+    assoc = ctx.coords[dot[dot[a, b], c]] - ctx.coords[dot[a, dot[b, c]]]
+    bad = np.argwhere(((assoc - assoc.swapaxes(0, 1)) % ctx.moduli).any(axis=-1))
+    if bad.size:
+        return tuple(int(gens[i]) for i in bad[0])
+    return None
+
+
+def _prelie_symmetry_scan(ctx: IndexContext, dot: np.ndarray) -> tuple[int, int, int] | None:
+    """The pre-Lie identity on every triple, for products not proven biadditive."""
     coords, moduli = ctx.coords, ctx.moduli
     n = dot.shape[0]
     for c in range(n):
         col = dot[:, c]
-        assoc1 = coords[col[dot]]        # (a.b).c
-        assoc2 = coords[dot[:, col]]     # a.(b.c)
-        defect = (assoc1 - assoc2) % moduli
-        w = _first_bad((defect != defect.swapaxes(0, 1)).any(axis=2))
+        defect = (coords[col[dot]] - coords[dot[:, col]]) % moduli   # (a.b).c - a.(b.c)
+        w = _first_bad(n, lambda rows: (defect[rows] != defect.swapaxes(0, 1)[rows]).any(axis=2))
         if w is not None:
             return (w[0], w[1], c)
     return None
@@ -203,21 +297,19 @@ def check_additivity_steps(ctx: IndexContext, table: np.ndarray) -> tuple[str, i
     """
     group = ctx.group
     n = table.shape[0]
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int64)
     coords, moduli = ctx.coords, ctx.moduli
-    for g in group.generators():
-        gi = group.encode(g)
-        shifted = ctx.add_index(idx, np.full(n, gi))
+    for gen in group.generators():
+        g = group.encode(gen)
+        shifted = ctx.add_index(idx, np.full(n, g, dtype=np.int64))
         # left argument: rows permuted by +g vs. coordinate sum of rows
-        lhs = table[shifted, :]
-        rhs = ctx.encode((coords[table] + coords[table[gi]][None, :, :]) % moduli)
-        w = _first_bad(lhs != rhs)
+        w = _first_bad(n, lambda rows: table[shifted[rows]] != ctx.encode(
+            (coords[table[rows]] + coords[table[g]][None, :, :]) % moduli))
         if w is not None:
             return ("left", w[0], w[1])
         # right argument
-        lhs = table[:, shifted]
-        rhs = ctx.encode((coords[table] + coords[table[:, gi]][:, None, :]) % moduli)
-        w = _first_bad(lhs != rhs)
+        w = _first_bad(n, lambda rows: table[rows][:, shifted] != ctx.encode(
+            (coords[table[rows]] + coords[table[rows, g]][:, None, :]) % moduli))
         if w is not None:
             return ("right", w[0], w[1])
     return None

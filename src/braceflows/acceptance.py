@@ -87,12 +87,11 @@ def prepare_suite(names: tuple[str, ...] | None = None) -> list[PreparedFixture]
 def criterion_derived_ring(prepared: list[PreparedFixture], *,
                            samples: int = 100_000, seed: int = 0) -> CheckReport:
     """Each fixture's averaged quotient product is a biadditive, pre-Lie,
-    left-nilpotent ring; exhaustive when the quotient has <= 1000 classes."""
+    left-nilpotent ring; exhaustive on table-sized quotients (see
+    _tables.exhaustive_for)."""
     report = CheckReport()
     for pf in prepared:
-        exhaustive = pf.derived.qgroup.order <= 1000
-        sub = verify_derived_ring(pf.derived, exhaustive=exhaustive,
-                                  samples=samples, seed=seed)
+        sub = verify_derived_ring(pf.derived, samples=samples, seed=seed)
         report.extend(sub, prefix=f"{pf.name}.")
     return report
 

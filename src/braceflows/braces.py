@@ -245,16 +245,17 @@ def _sampled_triples(group: PGroup, samples: int, seed: int):
 def verify_brace(brace: Brace, *, exhaustive: bool | None = None,
                  samples: int = 100_000, seed: int = 0) -> CheckReport:
     """Axiom report: abelian +, neutral zero, associativity of circ, circle
-    inverses, and the left brace law.  Exhaustive mode is forced on carriers
-    of order <= 125, defaults on up to order 1000, and falls back to
-    fixed-seed sampling above that.
+    inverses, and the left brace law.
+
+    Exhaustive mode (see _tables.exhaustive_for) decides every axiom on the
+    whole carrier from the dense circle table: zero and inverses by one pass
+    over the table, associativity by Light's test on a generating set of
+    (A, circ), and the left brace law as additivity of each lambda_a, by
+    generator increments.  Otherwise each axiom is checked on fixed-seed
+    samples.
     """
     g = brace.group
-    order = g.order
-    if order <= 125:
-        exhaustive = True
-    elif exhaustive is None:
-        exhaustive = order <= 1000
+    exhaustive = _tables.exhaustive_for(g.order, exhaustive)
     report = CheckReport()
     mode = "exhaustive" if exhaustive else f"sampled n={samples} seed={seed}"
 
@@ -266,8 +267,6 @@ def verify_brace(brace: Brace, *, exhaustive: bool | None = None,
 
 
 def _verify_brace_exhaustive(brace: Brace, report: CheckReport, mode: str) -> None:
-    from . import _tables
-
     g = brace.group
     ctx = _tables.IndexContext(g)
     table = brace.index_table()
@@ -458,9 +457,10 @@ def _engel_sum_rhs(brace: Brace, a: Element, b: Element, c: Element,
     return acc
 
 
-def _star_chain(brace: Brace, a: Element, limit: int) -> list[Element]:
-    """[a, a*a, a*(a*a), ...] up to limit entries, stopping at zero."""
-    out = [a]
+def _star_chain(brace: Brace, a: Element, first: Element, limit: int) -> list[Element]:
+    """[first, a*first, a*(a*first), ...] up to limit entries, stopping
+    before the first zero after `first`."""
+    out = [first]
     for _ in range(limit - 1):
         nxt = brace.star(a, out[-1])
         if nxt == brace.group.zero:
@@ -548,12 +548,12 @@ def quoted_identity_report(brace: Brace, *, samples: int = 10_000,
     for _ in range(samples):
         a, b = g.random_element(rng2), g.random_element(rng2)
         k = exponents[rng2.randrange(len(exponents))]
-        chain = _star_chain(brace, a, g.n + 1)
+        chain = _star_chain(brace, a, a, g.n + 1)
         direct = brace.circ_pow(a, k)
         if direct != _binomial_circ_pow(brace, chain, k):
             bad = f"a={a} k={k} (power form)"
             break
-        bchain = _star_chain_on(brace, a, b, g.n + 1)
+        bchain = _star_chain(brace, a, brace.star(a, b), g.n + 1)
         expect = _binomial_circ_pow(brace, bchain, k)
         if brace.star(direct, b) != expect:
             bad = f"a={a} b={b} k={k} (star form)"
@@ -566,7 +566,7 @@ def quoted_identity_report(brace: Brace, *, samples: int = 10_000,
     if g.order <= 1 << 18:
         chains = {}
         for a in g.elements():
-            chains[a] = _star_chain(brace, a, g.n + 1)
+            chains[a] = _star_chain(brace, a, a, g.n + 1)
         for i in range(1, g.max_exp + 1):
             target = g.power_image(i)
             power_set = set()
@@ -629,16 +629,6 @@ def quoted_identity_report(brace: Brace, *, samples: int = 10_000,
     report.add("scalar-star-defect-span", bad is None, witness=bad,
                info=f"samples={4 * pair_count}")
     return report
-
-
-def _star_chain_on(brace: Brace, a: Element, b: Element, limit: int) -> list[Element]:
-    """[b-chain] e_1 = a*b, e_{i+1} = a*e_i, stopping at zero."""
-    out = [brace.star(a, b)]
-    for _ in range(limit - 1):
-        if out[-1] == brace.group.zero:
-            break
-        out.append(brace.star(a, out[-1]))
-    return out
 
 
 def _circ_closure(brace: Brace, seed_set: set) -> set:

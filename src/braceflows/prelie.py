@@ -216,24 +216,20 @@ def verify_prelie(ring: PreLieRing, *, exhaustive: bool | None = None,
 
     Biadditivity on structure-constant rings holds by construction and is
     reported as such; closure-backed rings get the generator-increment check
-    (complete by induction on coordinates) when a dense table fits, sampling
-    otherwise.  The pre-Lie identity is checked on generator triples (which
-    suffices once the product is biadditive) plus a full exhaustive pass on
-    small carriers.
+    (complete by induction on coordinates) in exhaustive mode (see
+    _tables.exhaustive_for), sampling otherwise.  The pre-Lie identity is
+    checked on generator triples, which suffices once the product is
+    biadditive.  Exhaustive mode also decides it on the dense table: by
+    generator triples after the table passes the generator-increment check,
+    on every triple otherwise.
     """
     g = ring.group
-    order = g.order
-    if order <= 125:
-        exhaustive = True
-    elif exhaustive is None:
-        exhaustive = order <= 1000
+    exhaustive = _tables.exhaustive_for(g.order, exhaustive)
     report = CheckReport()
     p = g.p
 
     ctx = table = None
     if exhaustive:
-        from . import _tables
-
         ctx = _tables.IndexContext(g)
         table = ring.index_table()
 
@@ -251,8 +247,6 @@ def verify_prelie(ring: PreLieRing, *, exhaustive: bool | None = None,
         report.add("biadditive", True, info="by construction (structure constants)")
         biadditive_ok = True
     elif exhaustive:
-        from . import _tables
-
         w = _tables.check_additivity_steps(ctx, table)
         report.add("biadditive", w is None,
                    witness=None if w is None else
@@ -294,8 +288,6 @@ def verify_prelie(ring: PreLieRing, *, exhaustive: bool | None = None,
                info="all generator triples")
 
     if exhaustive:
-        from . import _tables
-
         w = _tables.check_prelie_symmetry(ctx, table)
         report.add("prelie-identity", w is None,
                    witness=None if w is None else

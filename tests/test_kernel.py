@@ -3,10 +3,14 @@
 Every batched evaluation (PreLieRing.dot_many, FlowContext.circ_many, the
 factor-brace and transported-star tables) must equal the pointwise path
 exactly, including at the int64/object boundary of the coordinate dtype.
+The generator-based check kernels must agree with all-triples oracles on
+mutated tables and return witnesses that really fail their law.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import os
 import random
 import subprocess
@@ -29,13 +33,22 @@ from braceflows import (
     parse_file,
     build,
     scalar_twist,
+    trivial_brace,
+    verify_brace,
+    verify_prelie,
 )
+from braceflows import _tables
 from braceflows import flows as flows_module
 from braceflows._tables import (
     TABLE_THRESHOLD,
+    IndexContext,
     build_table,
+    check_associativity,
+    check_left_brace_law,
+    check_prelie_symmetry,
     coord_dtype,
     element_coords,
+    exhaustive_for,
     pointwise_many,
 )
 from braceflows.groups import divide_by_p
@@ -45,6 +58,10 @@ FIXTURE = Path(__file__).parent / "fixtures" / "m1.prelie"
 
 def ring_5ab() -> PreLieRing:
     return PreLieRing.from_structure_constants(PGroup(5, (3,)), {(0, 0): (5,)})
+
+
+def ring_5ab_z25() -> PreLieRing:
+    return PreLieRing.from_structure_constants(PGroup(5, (2,)), {(0, 0): (5,)})
 
 
 def two_generator_ring() -> PreLieRing:
@@ -335,3 +352,232 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("alpha_1 = 1\n")
     assert "CHECK alpha-leading-coefficient-is-1 PASS" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# check kernels against all-triples oracles
+
+
+def associative_oracle(t: np.ndarray) -> bool:
+    """(a o b) o c == a o (b o c) on every triple."""
+    n = len(t)
+    return bool((t[t] == t[np.arange(n)[:, None, None], t[None, :, :]]).all())
+
+
+def brace_law_oracle(ctx: IndexContext, t: np.ndarray) -> bool:
+    """a o (b + c) == a o b - a + a o c on every triple."""
+    coords, moduli = ctx.coords, ctx.moduli
+    bpc = ctx.encode((coords[:, None, :] + coords[None, :, :]) % moduli)
+    lhs = t[:, bpc]
+    rhs = (coords[t][:, :, None, :] - coords[:, None, None, :]
+           + coords[t][:, None, :, :]) % moduli
+    return bool((lhs == ctx.encode(rhs)).all())
+
+
+def prelie_oracle(ctx: IndexContext, d: np.ndarray) -> bool:
+    """(a.b).c - a.(b.c) symmetric in (a, b) on every triple."""
+    n = len(d)
+    coords = ctx.coords
+    assoc = (coords[d[d]] - coords[d[np.arange(n)[:, None, None], d[None, :, :]]]) % ctx.moduli
+    return bool((assoc == assoc.swapaxes(0, 1)).all())
+
+
+def fails_associativity(t, w) -> bool:
+    a, b, c = w
+    return t[t[a, b], c] != t[a, t[b, c]]
+
+
+def fails_brace_law(ctx, t, w) -> bool:
+    a, b, c = w
+    coords, moduli = ctx.coords, ctx.moduli
+    rhs = ctx.encode((coords[t[a, b]] - coords[a] + coords[t[a, c]]) % moduli)
+    return t[a, ctx.add_index(np.array(b), np.array(c))] != rhs
+
+
+def fails_prelie(ctx, d, w) -> bool:
+    a, b, c = w
+    coords = ctx.coords
+
+    def assoc(x, y):
+        return (coords[d[d[x, y], c]] - coords[d[x, d[y, c]]]) % ctx.moduli
+
+    return bool((assoc(a, b) != assoc(b, a)).any())
+
+
+def agree_on(brace_t: np.ndarray, ctx: IndexContext, dot_t: np.ndarray | None = None) -> None:
+    """Kernels and oracles agree on PASS/FAIL; every witness fails its law."""
+    w = check_associativity(brace_t)
+    assert (w is None) == associative_oracle(brace_t)
+    assert w is None or fails_associativity(brace_t, w)
+    w = check_left_brace_law(ctx, brace_t)
+    assert (w is None) == brace_law_oracle(ctx, brace_t)
+    assert w is None or fails_brace_law(ctx, brace_t, w)
+    if dot_t is not None:
+        w = check_prelie_symmetry(ctx, dot_t)
+        assert (w is None) == prelie_oracle(ctx, dot_t)
+        assert w is None or fails_prelie(ctx, dot_t, w)
+
+
+def bumped(t: np.ndarray, i: int, j: int) -> np.ndarray:
+    out = t.copy()
+    out[i, j] = (out[i, j] + 1) % len(t)
+    return out
+
+
+def order_49_brace() -> Brace:
+    # g1.g1 = g2 on Z/7 x Z/7: two additive generators
+    return flows_brace(PreLieRing.from_structure_constants(
+        PGroup(7, (1, 1)), {(0, 0): (0, 1)}), verify=False)
+
+
+class TestCheckKernels:
+    def test_every_single_entry_mutation_of_z25(self, z25_brace):
+        ctx = IndexContext(z25_brace.group)
+        circ = z25_brace.index_table()
+        dot = ring_5ab_z25().index_table()
+        agree_on(circ, ctx, dot)
+        failed = 0
+        for i in range(25):
+            for j in range(25):
+                agree_on(bumped(circ, i, j), ctx, bumped(dot, i, j))
+                failed += check_associativity(bumped(circ, i, j)) is not None
+        assert failed == 625
+
+    def test_random_mutations_of_a_two_generator_carrier(self):
+        brace = order_49_brace()
+        ctx = IndexContext(brace.group)
+        circ = brace.index_table()
+        agree_on(circ, ctx)
+        rng = random.Random(5)
+        for _ in range(200):
+            i, j = rng.randrange(49), rng.randrange(49)
+            agree_on(bumped(circ, i, j), ctx)
+
+    def test_biadditive_products_decided_on_generator_triples(self):
+        # random structure constants are biadditive; some are pre-Lie
+        g = PGroup(7, (1, 1))
+        ctx = IndexContext(g)
+        rng = random.Random(3)
+        outcomes = set()
+        for _ in range(40):
+            sc = {(j, k): (rng.choice((0, 0, 1)), rng.choice((0, 0, 1)))
+                  for j in range(2) for k in range(2)}
+            dot = PreLieRing.from_structure_constants(g, sc).index_table()
+            w = check_prelie_symmetry(ctx, dot)
+            assert (w is None) == prelie_oracle(ctx, dot)
+            assert w is None or fails_prelie(ctx, dot, w)
+            outcomes.add(w is None)
+        assert outcomes == {True, False}
+
+    def test_zero_not_right_neutral(self, z25_brace):
+        ctx = IndexContext(z25_brace.group)
+        circ = bumped(z25_brace.index_table(), 6, 0)
+        assert check_left_brace_law(ctx, circ) == (6, 0, 0)
+        assert fails_brace_law(ctx, circ, (6, 0, 0))
+
+    def test_circle_group_needing_two_generators(self):
+        # (Z/7 x Z/7, +): index 0 reaches only itself, index 1 = (0, 1)
+        # reaches its cyclic group, index 7 = (1, 0) the rest
+        brace = trivial_brace(PGroup(7, (1, 1)))
+        circ = brace.index_table()
+        assert _tables._greedy_generators(circ) == [0, 1, 7]
+        assert check_associativity(circ) is None
+
+    def test_failure_seen_only_by_a_later_generator(self):
+        # (a1 + b1 + a1^2 b1, a2 + b2) on Z/7 x Z/7: associative whenever
+        # the middle argument has first coordinate 0, as every element
+        # reached from generators 0 and 1 = (0, 1) has
+        ctx = IndexContext(PGroup(7, (1, 1)))
+        a, b = ctx.coords[:, None, :], ctx.coords[None, :, :]
+        first = (a[..., 0] + b[..., 0] + a[..., 0] ** 2 * b[..., 0]) % 7
+        t = ctx.encode(np.stack([first, (a[..., 1] + b[..., 1]) % 7], axis=-1))
+        assert _tables._greedy_generators(t)[:3] == [0, 1, 7]
+        w = check_associativity(t)
+        assert w is not None and w[1] not in (0, 1)
+        assert fails_associativity(t, w) and not associative_oracle(t)
+
+    def test_brace_law_needs_every_additive_generator(self):
+        # a o b = a + b + (b2^2, 0): lambda_a is additive along (1, 0) only
+        ctx = IndexContext(PGroup(7, (1, 1)))
+        a, b = ctx.coords[:, None, :], ctx.coords[None, :, :]
+        t = ctx.encode(np.stack([(a[..., 0] + b[..., 0] + b[..., 1] ** 2) % 7,
+                                 (a[..., 1] + b[..., 1]) % 7], axis=-1))
+        w = check_left_brace_law(ctx, t)
+        assert w is not None and w[2] == ctx.group.encode((0, 1))
+        assert fails_brace_law(ctx, t, w) and not brace_law_oracle(ctx, t)
+
+    def test_non_biadditive_product_takes_the_all_triples_scan(self, monkeypatch):
+        g = PGroup(5, (2,))
+        ctx = IndexContext(g)
+        calls = []
+        scan = _tables._prelie_symmetry_scan
+        monkeypatch.setattr(_tables, "_prelie_symmetry_scan",
+                            lambda *a: calls.append(1) or scan(*a))
+        # a constant product: every associator vanishes, yet not biadditive
+        const = np.full((25, 25), 3, dtype=np.int64)
+        assert _tables.check_additivity_steps(ctx, const) is not None
+        assert check_prelie_symmetry(ctx, const) is None
+        bad = bumped(const, 3, 3)
+        w = check_prelie_symmetry(ctx, bad)
+        assert w is not None and fails_prelie(ctx, bad, w)
+        assert not prelie_oracle(ctx, bad)
+        assert len(calls) == 2
+
+    def test_one_element_carrier(self):
+        g = PGroup(7, (0, 0), allow_zero=True)
+        ctx = IndexContext(g)
+        table = np.zeros((1, 1), dtype=np.int64)
+        assert g.generators() == []
+        assert check_associativity(table) is None
+        assert check_left_brace_law(ctx, table) is None
+        assert check_prelie_symmetry(ctx, table) is None
+        assert verify_brace(trivial_brace(g)).passed
+        assert verify_prelie(PreLieRing.from_structure_constants(g, {})).passed
+
+
+class TestExhaustiveRule:
+    def test_rule(self):
+        assert exhaustive_for(125, False)
+        assert exhaustive_for(126, None) and not exhaustive_for(126, False)
+        assert exhaustive_for(TABLE_THRESHOLD)
+        assert not exhaustive_for(TABLE_THRESHOLD + 1)
+        assert exhaustive_for(TABLE_THRESHOLD + 1, True)
+
+    def test_table_sized_carrier_defaults_to_exhaustive(self):
+        g = PGroup(11, (3,))
+        n = g.order
+        assert 1000 < n <= TABLE_THRESHOLD
+        table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+        rep = verify_brace(Brace.from_table(g, table.tolist()))
+        assert rep.passed
+        assert all(r.info == "exhaustive" for r in rep.results)
+        # row 1000 lies past the first block of BLOCK_PAIRS pairs
+        assert 1000 * n > _tables.BLOCK_PAIRS
+        bad = bumped(table, 1000, 5)
+        ctx = IndexContext(g)
+        w = check_associativity(bad)
+        assert w is not None and fails_associativity(bad, w)
+        w = check_left_brace_law(ctx, bad)
+        assert w is not None and fails_brace_law(ctx, bad, w)
+
+
+def test_tracer_kernels_exist_with_the_table_last():
+    """bench/tracer.py wraps these kernels by name and reads args[-1] as the
+    table; a rename or reordering would silently break its --trace output."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    brace = order_49_brace()
+    ctx = IndexContext(brace.group)
+    table = brace.index_table()
+    assert len(tracer.KERNELS) == 6
+    for name in tracer.KERNELS:
+        assert name in _tables.__all__
+        kernel = getattr(_tables, name)
+        params = list(inspect.signature(kernel).parameters)
+        args = (table,) if len(params) == 1 else (ctx, table)
+        assert len(params) == len(args)
+        kernel(*args)
+        cells, nbytes = tracer._kernel_cost(name, args)
+        assert cells > 0 and nbytes > 0
