@@ -22,17 +22,19 @@ laws.  That costs O(N^2) table gathers per generator.  Only the pre-Lie
 identity of a product that is not biadditive falls back to all N^3
 triples.  Every check is exact (table gathers plus coordinatewise modular
 integer arithmetic) and returns a witness that fails the law as stated.
-exhaustive_for is the one rule for when axiom reports use these kernels
-instead of sampling.
+exhaustive_for is the one rule for exhaustive versus sampled checks; sampled
+ones evaluate their sample_coords draws as one batch.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from .errors import InputError
 from .groups import Element, PGroup
 
 __all__ = [
@@ -44,6 +46,9 @@ __all__ = [
     "pointwise_many",
     "build_table",
     "exhaustive_for",
+    "sample_coords",
+    "first_true",
+    "first_bad_pair",
     "check_identity",
     "check_associativity",
     "check_solvability",
@@ -142,6 +147,37 @@ def exhaustive_for(order: int, exhaustive: bool | None = None) -> bool:
     if exhaustive is None:
         return order <= TABLE_THRESHOLD
     return exhaustive
+
+
+def sample_coords(rng: random.Random, count: int, spaces: tuple, dtype) -> list[np.ndarray]:
+    """count draws of one element of each space (PGroup or Subgroup), in the
+    order of a pointwise random_element loop, as one (count, rank) array each."""
+    if count < 1:
+        raise InputError(f"sample count must be at least 1, got {count}")
+    rows = [[x for s in spaces for x in s.random_element(rng)] for _ in range(count)]
+    return np.split(np.array(rows, dtype=dtype), len(spaces), axis=1)
+
+
+def first_true(mask: np.ndarray) -> int | None:
+    """Index of the first True entry of a 1-D mask, or None."""
+    hit = np.flatnonzero(mask)
+    return int(hit[0]) if hit.size else None
+
+
+def first_bad_pair(left: PGroup, right, bad: Many, *, exhaustive: bool, samples: int,
+                   seed: int, dtype) -> tuple[np.ndarray, np.ndarray] | None:
+    """First pair (x, y) of coordinate rows where the batched mask bad(x, y) holds:
+    over the group left times right (a no larger PGroup or Subgroup) in row-major
+    order, or over `samples` draws of x then y from random.Random(seed)."""
+    if exhaustive:
+        xs = element_coords(left).astype(dtype, copy=False)
+        ys = np.array(list(right.elements()), dtype=dtype)
+        w = _first_bad(len(xs), lambda rows: bad(xs[rows, None], ys[None, :]))
+    else:
+        xs, ys = sample_coords(random.Random(seed), samples, (left, right), dtype)
+        i = first_true(bad(xs, ys))
+        w = None if i is None else (i, i)
+    return None if w is None else (xs[w[0]], ys[w[1]])
 
 
 def _first_bad(n: int, mask_rows: Callable[[slice], np.ndarray]) -> tuple[int, int] | None:

@@ -68,6 +68,8 @@ class Brace:
         self._array: np.ndarray | None = None
         self._memo: dict[tuple[Element, Element], Element] = {}
         self._inverses: dict[Element, Element] = {}
+        self._right_inverses: np.ndarray | None = None
+        self.dtype = _tables.coord_dtype(group.p ** group.max_exp, group.rank)
         self.flow_context = None  # set by flows_brace
 
     # -- constructors ----------------------------------------------------------
@@ -235,13 +237,6 @@ class FactorBrace(Brace):
 # verification
 
 
-def _sampled_triples(group: PGroup, samples: int, seed: int):
-    rng = random.Random(seed)
-    for _ in range(samples):
-        yield (group.random_element(rng), group.random_element(rng),
-               group.random_element(rng))
-
-
 def verify_brace(brace: Brace, *, exhaustive: bool | None = None,
                  samples: int = 100_000, seed: int = 0) -> CheckReport:
     """Axiom report: abelian +, neutral zero, associativity of circ, circle
@@ -252,7 +247,8 @@ def verify_brace(brace: Brace, *, exhaustive: bool | None = None,
     over the table, associativity by Light's test on a generating set of
     (A, circ), and the left brace law as additivity of each lambda_a, by
     generator increments.  Otherwise each axiom is checked on fixed-seed
-    samples.
+    samples, evaluated as one batch through circ_many; the witness is the
+    first failing sample in draw order.
     """
     g = brace.group
     exhaustive = _tables.exhaustive_for(g.order, exhaustive)
@@ -272,14 +268,11 @@ def _verify_brace_exhaustive(brace: Brace, report: CheckReport, mode: str) -> No
     table = brace.index_table()
 
     # (A, +) commutes coordinatewise by construction; assert on a full pass.
-    bad = None
-    for i, a in enumerate(g.elements()):
-        b = g.decode((i * 2 + 1) % g.order)
-        if g.add(a, b) != g.add(b, a):  # pragma: no cover - structural
-            bad = (a, b)
-            break
-    report.add("abelian-add", bad is None,
-               witness=None if bad is None else f"a={bad[0]} b={bad[1]}", info=mode)
+    a = ctx.coords
+    b = a[(2 * np.arange(g.order) + 1) % g.order]
+    i = _tables.first_true(((a + b) % ctx.moduli != (b + a) % ctx.moduli).any(axis=-1))
+    report.add("abelian-add", i is None, info=mode, witness=None if i is None else
+               f"a={g.decode(i)} b={g.decode((2 * i + 1) % g.order)}")
 
     w = _tables.check_identity(table)
     report.add("zero-neutral", w is None,
@@ -302,52 +295,52 @@ def _verify_brace_exhaustive(brace: Brace, report: CheckReport, mode: str) -> No
 
 def _verify_brace_sampled(brace: Brace, report: CheckReport, samples: int,
                           seed: int, mode: str) -> None:
-    g = brace.group
+    g, dtype = brace.group, brace.dtype
+    moduli = np.array(g.moduli, dtype=dtype)
+    circ = brace.circ_many
+
+    def add(name: str, bad: np.ndarray, *args: np.ndarray) -> None:
+        i = _tables.first_true(bad)
+        report.add(name, i is None, info=mode, witness=None if i is None else " ".join(
+            f"{v}={tuple(x[i].tolist())}" for v, x in zip("abc", args)))
+
     rng = random.Random(seed)
-    zero = g.zero
+    a, b = _tables.sample_coords(rng, min(samples, 10_000), (g, g), dtype)
+    add("abelian-add", ((a + b) % moduli != (b + a) % moduli).any(axis=-1), a, b)
+    a, = _tables.sample_coords(rng, min(samples, 10_000), (g,), dtype)
+    zero = np.zeros(g.rank, dtype=dtype)
+    add("zero-neutral", ((circ(zero, a) != a) | (circ(a, zero) != a)).any(axis=-1), a)
+    a, b, c = _tables.sample_coords(random.Random(seed + 1), samples, (g,) * 3, dtype)
+    add("circ-associative", (circ(circ(a, b), c) != circ(a, circ(b, c))).any(axis=-1), a, b, c)
+    a, = _tables.sample_coords(random.Random(seed + 2), min(samples, 2_000), (g,), dtype)
+    add("circ-inverses", _circ_inverses(brace, a)[1], a)
+    a, b, c = _tables.sample_coords(random.Random(seed + 3), samples, (g,) * 3, dtype)
+    add("left-brace-law", (circ(a, (b + c) % moduli)
+                           != (circ(a, b) - a + circ(a, c)) % moduli).any(axis=-1), a, b, c)
 
-    bad = None
-    for _ in range(min(samples, 10_000)):
-        a, b = g.random_element(rng), g.random_element(rng)
-        if g.add(a, b) != g.add(b, a):  # pragma: no cover - structural
-            bad = f"a={a} b={b}"
-            break
-    report.add("abelian-add", bad is None, witness=bad, info=mode)
 
-    bad = None
-    for _ in range(min(samples, 10_000)):
-        a = g.random_element(rng)
-        if brace.circ(zero, a) != a or brace.circ(a, zero) != a:
-            bad = f"a={a}"
-            break
-    report.add("zero-neutral", bad is None, witness=bad, info=mode)
-
-    bad = None
-    for a, b, c in _sampled_triples(g, samples, seed + 1):
-        if brace.circ(brace.circ(a, b), c) != brace.circ(a, brace.circ(b, c)):
-            bad = f"a={a} b={b} c={c}"
-            break
-    report.add("circ-associative", bad is None, witness=bad, info=mode)
-
-    bad = None
-    rng2 = random.Random(seed + 2)
-    for _ in range(min(samples, 2_000)):
-        a = g.random_element(rng2)
-        try:
-            brace.circ_inverse(a)
-        except StructureError:
-            bad = f"a={a}"
-            break
-    report.add("circ-inverses", bad is None, witness=bad, info=mode)
-
-    bad = None
-    for a, b, c in _sampled_triples(g, samples, seed + 3):
-        lhs = brace.circ(a, g.add(b, c))
-        rhs = g.add(g.sub(brace.circ(a, b), a), brace.circ(a, c))
-        if lhs != rhs:
-            bad = f"a={a} b={b} c={c}"
-            break
-    report.add("left-brace-law", bad is None, witness=bad, info=mode)
+def _circ_inverses(brace: Brace, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brace.circ_inverse on a (..., rank) array, by the same three branches:
+    the inverses, and the mask of entries that have no two-sided inverse."""
+    g = brace.group
+    ctx = brace.flow_context
+    failed = False
+    if ctx is not None:
+        inv = ctx.exp_many(-ctx.log_many(a) % ctx.moduli)
+    elif brace._table is not None:
+        if brace._right_inverses is None:  # first zero of each row
+            brace._right_inverses = np.argmax(brace.index_table() == 0, axis=1)
+        inv = _tables.element_coords(g)[brace._right_inverses[_tables.encode_many(g, a)]]
+    else:
+        inv = np.zeros(a.shape, dtype=object)
+        failed = np.zeros(a.shape[:-1], dtype=bool)
+        for idx in np.ndindex(failed.shape):
+            try:
+                inv[idx] = brace.circ_inverse(tuple(a[idx].tolist()))
+            except StructureError:
+                failed[idx] = True
+    failed = failed | brace.circ_many(a, inv).any(axis=-1)
+    return inv, failed | brace.circ_many(inv, a).any(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +378,9 @@ def factor_brace(brace: Brace, sub: Subgroup, *, check: bool = True,
     """Quotient brace by a coordinate-aligned ideal.
 
     The ideal precondition (lambda-invariance and circle-normality of the
-    subgroup) is checked exhaustively on small carriers and by fixed-seed
-    sampling on large ones.
+    subgroup) is checked on every pair (a, s) when _tables.exhaustive_for
+    holds for the carrier, else on fixed-seed samples; either way as one
+    batched evaluation, reporting the first failing pair.
     """
     g = brace.group
     if sub.group != g:
@@ -410,30 +404,25 @@ def ideal_quotient(brace: Brace, i: int, kind: str = "ann", **kw) -> FactorBrace
 
 def _check_ideal(brace: Brace, sub: Subgroup, *, samples: int, seed: int) -> None:
     g = brace.group
-    exhaustive = g.order * max(sub.size, 1) <= 1 << 14
-    zero = g.zero
-    if exhaustive:
-        pairs = ((a, s) for a in g.elements() for s in sub.elements())
-    else:
-        rng = random.Random(seed)
+    moduli = np.array(g.moduli, dtype=brace.dtype)
+    steps = np.array([g.p ** k for k in sub.pexps], dtype=brace.dtype)
 
-        def _gen():
-            for _ in range(samples):
-                yield g.random_element(rng), sub.random_element(rng)
+    def bad(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+        a_s = brace.circ_many(a, s)
+        inv, no_inverse = _circ_inverses(brace, a)
+        escapes = ((a_s - a) % moduli % steps).any(axis=-1)          # lambda_a(s)
+        escapes |= (brace.circ_many(a_s, inv) % steps).any(axis=-1)  # a s a^-1
+        return s.any(axis=-1) & (escapes | no_inverse)
 
-        pairs = _gen()
-    for a, s in pairs:
-        if s == zero:
-            continue
-        if brace.lambda_map(a, s) not in sub:
-            raise InputError(
-                f"subgroup is not lambda-invariant: lambda_{a}({s}) escapes"
-            )
-        conj = brace.circ(brace.circ(a, s), brace.circ_inverse(a))
-        if conj not in sub:
-            raise InputError(
-                f"subgroup is not circle-normal: {a} conjugates {s} out"
-            )
+    pair = _tables.first_bad_pair(g, sub, bad, exhaustive=_tables.exhaustive_for(g.order),
+                                  samples=samples, seed=seed, dtype=brace.dtype)
+    if pair is None:
+        return
+    a, s = (tuple(x.tolist()) for x in pair)
+    if brace.lambda_map(a, s) not in sub:
+        raise InputError(f"subgroup is not lambda-invariant: lambda_{a}({s}) escapes")
+    brace.circ_inverse(a)  # raises its own StructureError when a has no inverse
+    raise InputError(f"subgroup is not circle-normal: {a} conjugates {s} out")
 
 
 # ---------------------------------------------------------------------------

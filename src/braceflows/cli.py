@@ -98,6 +98,8 @@ def run_command(argv: list[str] | None = None, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.samples < 1:
+            parser.error(f"argument --samples: must be at least 1, got {args.samples}")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

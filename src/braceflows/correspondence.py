@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import TABLE_THRESHOLD, IndexContext, build_table, coord_dtype
+from ._tables import (TABLE_THRESHOLD, IndexContext, build_table, element_coords, encode_many,
+                      exhaustive_for, first_bad_pair, first_true, sample_coords)
 from .braces import Brace, factor_brace, ideal_quotient
 from .errors import InputError, StructureError
 from .flows import flows_brace
@@ -92,6 +93,25 @@ class DerivedPreLie:
                              self.space.lift(y))
         return self.space.project(divide_by_p(g, u))
 
+    def transported_star_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """transported_star on broadcast (..., rank) arrays of class representatives."""
+        if self._odot_tab is not None:
+            qg = self.qgroup
+            return element_coords(qg)[self._odot_tab[encode_many(qg, x), encode_many(qg, y)]]
+        return self._odot_many(x, y)
+
+    def _odot_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """[(p x) * y] / p projected to the quotient, for any source
+        coordinates x, y; the first entry (in row-major order) not divisible
+        by p raises divide_by_p's error."""
+        g = self.source.group
+        x = np.asarray(x, dtype=self.source.dtype)
+        u = self.source.star_many(self.p * x % np.array(g.moduli, dtype=x.dtype), y)
+        bad = (u % self.p != 0).any(axis=-1)
+        if bad.any():
+            divide_by_p(g, tuple(u[tuple(np.argwhere(bad)[0])].tolist()))
+        return u // self.p % np.array(self.qgroup.moduli, dtype=x.dtype)
+
     def prelie_product(self, x: Element, y: Element) -> Element:
         if self._bullet_tab is not None:
             qg = self.qgroup
@@ -114,23 +134,7 @@ class DerivedPreLie:
         n = qg.order
         if n > TABLE_THRESHOLD:
             raise InputError(f"quotient of order {n} exceeds the table cap {TABLE_THRESHOLD}")
-        g = self.source.group
-        p = self.p
-        dtype = coord_dtype(g.p ** g.max_exp, g.rank)
-        moduli = np.array(g.moduli, dtype=dtype)
-        qmoduli = np.array(qg.moduli, dtype=dtype)
-
-        def odot_many(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            # class representatives are source coordinates already
-            x, y = x.astype(dtype), y.astype(dtype)
-            u = self.source.star_many(p * x % moduli, y)
-            bad = (u % p != 0).any(axis=-1)
-            if bad.any():
-                first = np.argwhere(bad)[0]
-                divide_by_p(g, tuple(int(c) for c in u[tuple(first)]))
-            return u // p % qmoduli
-
-        odot = build_table(qg, odot_many)
+        odot = build_table(qg, self._odot_many)
         self._odot_tab = odot
 
         ctx = IndexContext(qg)
@@ -138,11 +142,11 @@ class DerivedPreLie:
         qmod = qg.scalars.modulus
         acc = np.zeros((n, n, qg.rank), dtype=np.int64)
         idx = np.arange(n)
-        for i in range(p - 1):
+        for i in range(self.p - 1):
             # x -> u^i x, then weight u^(p-1-i); units reduced mod the
             # quotient's exponent modulus keep the products small
             perm = ctx.encode((coords * (self.unit_powers[i] % qmod)) % moduli)
-            acc += coords[odot[perm[idx], :]] * (self.unit_powers[p - 1 - i] % qmod)
+            acc += coords[odot[perm[idx], :]] * (self.unit_powers[self.p - 1 - i] % qmod)
             acc %= moduli
         self._bullet_tab = ctx.encode(acc % moduli)
 
@@ -170,26 +174,20 @@ def verify_derived_ring(derived: DerivedPreLie, *, exhaustive: bool | None = Non
     averaged product on the quotient."""
     report = CheckReport()
     src = derived.source
-    g = src.group
     qg = derived.qgroup
-    space = derived.space
+    kernel = derived.space.kernel
+    moduli = np.array(src.group.moduli, dtype=src.dtype)
 
     # representative independence, sampled over kernel perturbations
-    rng = random.Random(seed)
-    kernel = space.kernel
-    bad = None
-    for _ in range(min(samples, 2_000)):
-        x, y = qg.random_element(rng), qg.random_element(rng)
-        zx, zy = kernel.random_element(rng), kernel.random_element(rng)
-        ax = g.add(space.lift(x), zx)
-        by = g.add(space.lift(y), zy)
-        perturbed = space.project(
-            divide_by_p(g, src.star(g.smul(derived.p, ax), by)))
-        if perturbed != derived.transported_star(x, y):
-            bad = f"x={x} y={y} zx={zx} zy={zy}"
-            break
+    n = min(samples, 2_000)
+    drawn = sample_coords(random.Random(seed), n, (qg, qg, kernel, kernel), src.dtype)
+    x, y, zx, zy = drawn
+    perturbed = derived._odot_many((x + zx) % moduli, (y + zy) % moduli)
+    i = first_true((perturbed != derived.transported_star_many(x, y)).any(axis=-1))
+    bad = None if i is None else " ".join(
+        f"{name}={tuple(v[i].tolist())}" for name, v in zip(("x", "y", "zx", "zy"), drawn))
     report.add("transported-star-well-defined", bad is None, witness=bad,
-               info=f"sampled n={min(samples, 2_000)} seed={seed}")
+               info=f"sampled n={n} seed={seed}")
 
     ring = derived.ring()
     report.extend(verify_prelie(ring, exhaustive=exhaustive,
@@ -225,6 +223,19 @@ def circle_power_section(brace: Brace, a: Element) -> Element:
         e = brace.star(a, e)
         if e == g.zero:
             break
+    return acc
+
+
+def _section_many(brace: Brace, a: np.ndarray) -> np.ndarray:
+    """circle_power_section on a (..., rank) array; an entry's chain stops
+    at its first zero, as there."""
+    g = brace.group
+    moduli = np.array(g.moduli, dtype=brace.dtype)
+    acc, e, live = 0, a, True
+    for c in _section_coefficients(g.p):
+        acc = (acc + c % g.scalars.modulus * e) % moduli
+        e = brace.star_many(a, e) * live
+        live = e.any(axis=-1, keepdims=True)
     return acc
 
 
@@ -347,10 +358,9 @@ def verify_identity_recovery(brace: Brace, derived: DerivedPreLie | None = None,
     p = g.p
     alphas = identity_recovery_coefficients(p, max(g.n, 1))
     report = CheckReport()
-    if exhaustive is None:
-        exhaustive = qg.order <= 1000
-    classes = (list(qg.elements()) if exhaustive
-               else _sampled_classes(qg, samples, seed))
+    exhaustive = exhaustive_for(qg.order, exhaustive)
+    classes = (list(qg.elements()) if exhaustive else list(map(tuple, sample_coords(
+        random.Random(seed), samples, (qg,), brace.dtype)[0].tolist())))
 
     bad_post = None
     bad_comb = None
@@ -380,42 +390,42 @@ def verify_identity_recovery(brace: Brace, derived: DerivedPreLie | None = None,
 def verify_star_recovery(brace: Brace, derived: DerivedPreLie | None = None,
                          *, exhaustive: bool | None = None,
                          samples: int = 2_000, seed: int = 0) -> CheckReport:
-    """Elementwise check of sum_i gamma_i q_i(a, b) == [a * b]."""
+    """Elementwise check of sum_i gamma_i q_i(a, b) == [a * b]: on every
+    pair of classes when _tables.exhaustive_for holds for the quotient, else
+    on fixed-seed samples, as one batched evaluation."""
     d = derived if derived is not None else derive(brace)
     g = brace.group
     qg = d.qgroup
-    p = g.p
-    gammas = star_recovery_coefficients(p, max(g.n, 1))
-    report = CheckReport()
-    if exhaustive is None:
-        exhaustive = qg.order ** 2 <= 200_000
-    if exhaustive:
-        pairs = [(x, y) for x in qg.elements() for y in qg.elements()]
-    else:
-        rng = random.Random(seed)
-        pairs = [(qg.random_element(rng), qg.random_element(rng))
-                 for _ in range(samples)]
+    gammas = star_recovery_coefficients(g.p, max(g.n, 1))
+    weights = [c % qg.scalars.modulus for c in gammas]
+    qmoduli = np.array(qg.moduli, dtype=brace.dtype)
 
-    section_cache: dict[Element, Element] = {}
+    def sides(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        fa = _section_many(brace, x) % qmoduli
+        got, term = 0, y
+        for w in weights:
+            term = d.transported_star_many(fa, term)
+            got = (got + w * term) % qmoduli
+        return got, brace.star_many(x, y) % qmoduli
+
+    return _pair_report("star-recovery", qg, sides, exhaustive, samples, seed, brace.dtype,
+                        f", gamma_1={gammas[0]}")
+
+
+def _pair_report(name: str, qg: PGroup, sides, exhaustive: bool | None, samples: int,
+                 seed: int, dtype, info: str = "") -> CheckReport:
+    """One check: the first pair of classes (see first_bad_pair; every pair
+    when exhaustive_for holds) where the sides (got, want) of a law differ."""
+    exhaustive = exhaustive_for(qg.order, exhaustive)
+    pair = first_bad_pair(qg, qg, lambda x, y: np.not_equal(*sides(x, y)).any(axis=-1),
+                          exhaustive=exhaustive, samples=samples, seed=seed, dtype=dtype)
     bad = None
-    for x, y in pairs:
-        fa_cls = section_cache.get(x)
-        if fa_cls is None:
-            fa_cls = d.space.project(circle_power_section(brace, d.space.lift(x)))
-            section_cache[x] = fa_cls
-        term = d.transported_star(fa_cls, y)
-        acc = qg.smul(gammas[0], term)
-        for i in range(1, p - 1):
-            term = d.transported_star(fa_cls, term)
-            if gammas[i]:
-                acc = qg.add(acc, qg.smul(gammas[i], term))
-        expect = d.space.project(brace.star(d.space.lift(x), d.space.lift(y)))
-        if acc != expect:
-            bad = f"x={x} y={y} got={acc} want={expect}"
-            break
-    mode = ("exhaustive" if exhaustive else f"sampled n={samples} seed={seed}")
-    report.add("star-recovery", bad is None, witness=bad,
-               info=f"{mode}, gamma_1={gammas[0]}")
+    if pair is not None:
+        x, y, got, want = (tuple(v.tolist()) for v in (*pair, *sides(*pair)))
+        bad = f"x={x} y={y} got={got} want={want}"
+    report = CheckReport()
+    report.add(name, bad is None, witness=bad, info=(
+        "exhaustive" if exhaustive else f"sampled n={samples} seed={seed}") + info)
     return report
 
 
@@ -541,37 +551,19 @@ def verify_flows_roundtrip(ring: PreLieRing, *, exhaustive: bool | None = None,
                            samples: int = 10_000, seed: int = 0) -> CheckReport:
     """For a left-nilpotent ring, derive the averaged product back from its
     group of flows: the result must be (p-1) times the original product on
-    quotient classes."""
-    report = CheckReport()
-    brace = flows_brace(ring, verify=False)
-    d = derive(brace)
-    g = ring.group
+    quotient classes.  Checked on every pair of classes when
+    _tables.exhaustive_for holds for the quotient, else on fixed-seed
+    samples, as one batched evaluation."""
+    d = derive(flows_brace(ring, verify=False))
     qg = d.qgroup
-    p = g.p
-    if qg.order <= TABLE_THRESHOLD:
-        d.build_tables()
-    if exhaustive is None:
-        exhaustive = qg.order ** 2 <= 200_000
-    if exhaustive:
-        pairs = ((x, y) for x in qg.elements() for y in qg.elements())
-        count = qg.order ** 2
-    else:
-        rng = random.Random(seed)
-        pairs = ((qg.random_element(rng), qg.random_element(rng))
-                 for _ in range(samples))
-        count = samples
-    bad = None
-    for x, y in pairs:
-        got = d.prelie_product(x, y)
-        want = qg.smul(p - 1, d.space.project(
-            ring.dot(d.space.lift(x), d.space.lift(y))))
-        if got != want:
-            bad = f"x={x} y={y} got={got} want={want}"
-            break
-    mode = "exhaustive" if exhaustive else f"sampled n={count} seed={seed}"
-    report.add("flows-roundtrip-scaled-product", bad is None, witness=bad,
-               info=mode)
-    return report
+    derived_ring = d.ring()
+    qmoduli = np.array(qg.moduli, dtype=ring.dtype)
+
+    def sides(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return derived_ring.dot_many(x, y), (qg.p - 1) * (ring.dot_many(x, y) % qmoduli) % qmoduli
+
+    return _pair_report("flows-roundtrip-scaled-product", qg, sides, exhaustive, samples,
+                        seed, ring.dtype)
 
 
 def reconstruct_brace(derived: DerivedPreLie, *, verify: bool = True,
@@ -590,18 +582,14 @@ def _compare_braces(b1: Brace, b2: Brace, *, samples: int = 50_000,
     if b1.group != b2.group:
         return f"carriers differ: {b1.group!r} vs {b2.group!r}"
     g = b1.group
-    if g.order <= 1024:
-        for a in g.elements():
-            for b in g.elements():
-                if b1.circ(a, b) != b2.circ(a, b):
-                    return f"a={a} b={b} {b1.circ(a, b)} vs {b2.circ(a, b)}"
+    exhaustive = exhaustive_for(g.order)
+    pair = first_bad_pair(
+        g, g, lambda x, y: (b1.circ_many(x, y) != b2.circ_many(x, y)).any(axis=-1),
+        exhaustive=exhaustive, samples=samples, seed=seed, dtype=b1.dtype)
+    if pair is None:
         return None
-    rng = random.Random(seed)
-    for _ in range(samples):  # pragma: no cover - no fixture this large
-        a, b = g.random_element(rng), g.random_element(rng)
-        if b1.circ(a, b) != b2.circ(a, b):
-            return f"a={a} b={b}"
-    return None
+    a, b = (tuple(v.tolist()) for v in pair)
+    return f"a={a} b={b} {b1.circ(a, b)} vs {b2.circ(a, b)}" if exhaustive else f"a={a} b={b}"
 
 
 def reconstruction_report(brace: Brace, *, samples: int = 10_000,
@@ -645,7 +633,7 @@ def reconstruction_report(brace: Brace, *, samples: int = 10_000,
                    "; ".join(r.line() for r in rebuilt_rep.results if not r.passed))
 
     brace1 = factor_brace(rebuilt, inner, samples=samples, seed=seed)
-    w = _compare_braces(brace1, brace2)
+    w = _compare_braces(brace1, brace2, samples=samples, seed=seed)
     report.add("reconstruction-matches-mod-inner-ideal", w is None, witness=w,
                info=f"quotient order {brace1.group.order}")
 
@@ -655,12 +643,7 @@ def reconstruction_report(brace: Brace, *, samples: int = 10_000,
         report.add("isomorphic-to-mod-ann-p4", False,
                    witness=f"exponent mismatch {target.group.factors} vs {expect_factors}")
     else:
-        w = _compare_braces(brace2, target)
+        w = _compare_braces(brace2, target, samples=samples, seed=seed)
         report.add("isomorphic-to-mod-ann-p4", w is None, witness=w,
                    info=f"final quotient order {target.group.order}")
     return report
-
-
-def _sampled_classes(qg: PGroup, samples: int, seed: int) -> list[Element]:
-    rng = random.Random(seed)
-    return [qg.random_element(rng) for _ in range(samples)]

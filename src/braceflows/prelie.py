@@ -227,6 +227,8 @@ def verify_prelie(ring: PreLieRing, *, exhaustive: bool | None = None,
     exhaustive = _tables.exhaustive_for(g.order, exhaustive)
     report = CheckReport()
     p = g.p
+    dot = ring.dot_many
+    moduli = np.array(g.moduli, dtype=ring.dtype)
 
     ctx = table = None
     if exhaustive:
@@ -254,38 +256,25 @@ def verify_prelie(ring: PreLieRing, *, exhaustive: bool | None = None,
                    info="generator increments, all pairs")
         biadditive_ok = w is None
     else:
-        rng = random.Random(seed)
-        bad = None
-        for _ in range(samples):
-            a, b, c = (g.random_element(rng) for _ in range(3))
-            if ring.dot(g.add(a, b), c) != g.add(ring.dot(a, c), ring.dot(b, c)):
-                bad = f"left: a={a} b={b} c={c}"
-                break
-            if ring.dot(a, g.add(b, c)) != g.add(ring.dot(a, b), ring.dot(a, c)):
-                bad = f"right: a={a} b={b} c={c}"
-                break
+        a, b, c = _tables.sample_coords(random.Random(seed), samples, (g,) * 3, ring.dtype)
+        left = (dot((a + b) % moduli, c) != (dot(a, c) + dot(b, c)) % moduli).any(axis=-1)
+        right = (dot(a, (b + c) % moduli) != (dot(a, b) + dot(a, c)) % moduli).any(axis=-1)
+        i = _tables.first_true(left | right)
+        bad = None if i is None else (f"{'left' if left[i] else 'right'}: "
+                                      + _triple(a[i], b[i], c[i]))
         report.add("biadditive", bad is None, witness=bad,
                    info=f"sampled n={samples} seed={seed}")
         biadditive_ok = bad is None
 
-    # pre-Lie identity
-    def defect(a: Element, b: Element, c: Element) -> Element:
-        return g.sub(ring.dot(ring.dot(a, b), c), ring.dot(a, ring.dot(b, c)))
+    # pre-Lie identity: the associator (a.b).c - a.(b.c) is symmetric in a, b
+    def asymmetric(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        ab = dot(dot(a, b), c) - dot(a, dot(b, c))
+        return ((ab - dot(dot(b, a), c) + dot(b, dot(a, c))) % moduli).any(axis=-1)
 
-    bad = None
-    gens = g.generators()
-    for a in gens:
-        for b in gens:
-            for c in gens:
-                if defect(a, b, c) != defect(b, a, c):
-                    bad = f"a={a} b={b} c={c}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.add("prelie-identity-generators", bad is None, witness=bad,
-               info="all generator triples")
+    gens = np.array(g.generators(), dtype=ring.dtype).reshape(-1, g.rank)
+    w = np.argwhere(asymmetric(gens[:, None, None], gens[None, :, None], gens[None, None]))
+    report.add("prelie-identity-generators", w.size == 0, info="all generator triples",
+               witness=_triple(*gens[w[0]]) if w.size else None)
 
     if exhaustive:
         w = _tables.check_prelie_symmetry(ctx, table)
@@ -294,15 +283,12 @@ def verify_prelie(ring: PreLieRing, *, exhaustive: bool | None = None,
                    f"a={g.decode(w[0])} b={g.decode(w[1])} c={g.decode(w[2])}",
                    info="exhaustive")
     else:
-        rng = random.Random(seed + 7)
-        bad = None
-        for _ in range(min(samples, 20_000)):
-            a, b, c = (g.random_element(rng) for _ in range(3))
-            if defect(a, b, c) != defect(b, a, c):
-                bad = f"a={a} b={b} c={c}"
-                break
-        report.add("prelie-identity", bad is None, witness=bad,
-                   info=f"sampled n={min(samples, 20_000)} seed={seed + 7}")
+        n = min(samples, 20_000)
+        a, b, c = _tables.sample_coords(random.Random(seed + 7), n, (g,) * 3, ring.dtype)
+        i = _tables.first_true(asymmetric(a, b, c))
+        report.add("prelie-identity", i is None,
+                   witness=None if i is None else _triple(a[i], b[i], c[i]),
+                   info=f"sampled n={n} seed={seed + 7}")
 
     # left nilpotency
     try:
@@ -315,6 +301,10 @@ def verify_prelie(ring: PreLieRing, *, exhaustive: bool | None = None,
         if require_nilpotent:
             raise
     return report
+
+
+def _triple(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> str:
+    return f"a={tuple(a.tolist())} b={tuple(b.tolist())} c={tuple(c.tolist())}"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ from braceflows import (
     Brace,
     InputError,
     PGroup,
+    PreLieRing,
+    Subgroup,
     factor_brace,
+    flows_brace,
     ideal_quotient,
     left_chain,
     quoted_identity_report,
@@ -157,6 +160,39 @@ class TestFactorBrace:
         br = trivial_brace(g1)
         with pytest.raises(InputError):
             factor_brace(br, g2.annihilator(1))
+
+    # Negative controls for the ideal check, on the group of flows of a
+    # two-generator ring with one product p g1 (p^2 g1 = 0 keeps it pre-Lie):
+    # g1.g2 = p g1 moves <g2> under lambda_g1; g2.g1 = p g1 leaves <g2>
+    # lambda-invariant, but g1 conjugates it out.  Z/7^2 x Z/7 (343
+    # elements) is checked on every pair, Z/11^2 x Z/11^2 (14641) on
+    # samples; the texts were produced by the pointwise per-pair check.
+    @pytest.mark.parametrize("p, factors, sc, text", [
+        (7, (2, 1), {(0, 1): (7, 0)},
+         "subgroup is not lambda-invariant: lambda_(1, 0)((0, 1)) escapes"),
+        (11, (2, 2), {(0, 1): (11, 0)},
+         "subgroup is not lambda-invariant: lambda_(30, 75)((0, 47)) escapes"),
+        (7, (2, 1), {(1, 0): (7, 0)},
+         "subgroup is not circle-normal: (1, 0) conjugates (0, 1) out"),
+        (11, (2, 2), {(1, 0): (11, 0)},
+         "subgroup is not circle-normal: (30, 75) conjugates (0, 47) out"),
+    ])
+    def test_non_ideal_subgroup_rejected(self, p, factors, sc, text):
+        g = PGroup(p, factors)
+        brace = flows_brace(PreLieRing.from_structure_constants(g, sc), verify=False)
+        sub = Subgroup(g, (factors[0], 0))  # <g2>
+        with pytest.raises(InputError) as exc:
+            factor_brace(brace, sub, samples=200, seed=3)
+        assert str(exc.value) == text
+
+    def test_ideal_passes_both_modes(self):
+        # ann(p) is an ideal of every brace; checked on all pairs and sampled
+        for p, factors in ((7, (2, 1)), (11, (2, 2))):
+            g = PGroup(p, factors)
+            ring = PreLieRing.from_structure_constants(g, {(1, 0): (p, 0)})
+            quotient = factor_brace(flows_brace(ring, verify=False), g.annihilator(1),
+                                    samples=200, seed=3)
+            assert quotient.group.order == g.order // p ** 2
 
     def test_unknown_kind_rejected(self, z125_brace):
         with pytest.raises(InputError, match="'ann' or 'pk'"):

@@ -163,6 +163,14 @@ class TestPassageCommands:
 
 
 class TestParserBehavior:
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["flows", "verify-prelie"])
+    def test_sample_count_below_one_rejected(self, ring_file, capsys, command, count):
+        code, text = run(command, ring_file, "--samples", count)
+        assert code == 2
+        assert text == ""
+        assert "--samples: must be at least 1" in capsys.readouterr().err
+
     def test_unknown_command(self):
         assert run_command(["frobnicate"], out=io.StringIO()) == 2
 

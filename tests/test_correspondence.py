@@ -26,8 +26,10 @@ from braceflows import (
     verify_prelie,
     verify_star_recovery,
 )
+from braceflows import correspondence
 from braceflows.correspondence import (
     _chain_series,
+    _compare_braces,
     _divides_huge_factorial,
     _section_coefficients,
 )
@@ -237,6 +239,40 @@ class TestRoundtrip:
     def test_seven_chain_roundtrip(self):
         report = verify_flows_roundtrip(seven_chain_ring(), samples=200)
         assert report.passed, str(report)
+
+
+class TestPairChecks:
+    """Negative controls for the batched pair checks; the witnesses are those
+    of the pointwise per-pair loops they replaced, at the same seeds."""
+
+    def test_star_recovery_against_another_brace_fails(self):
+        e1 = flows_brace(seven_chain_ring(), verify=False)
+        e2 = flows_brace(PreLieRing.from_structure_constants(
+            PGroup(7, (5,)), {(0, 0): (49,)}), verify=False)
+        d2 = derive(e2)
+        assert verify_star_recovery(e1, d2).lines() == [
+            "CHECK star-recovery FAIL witness x=(1,) y=(1,) got=(49,) want=(7,)"]
+        assert verify_star_recovery(e1, d2, exhaustive=False, samples=300, seed=2).lines() == [
+            "CHECK star-recovery FAIL witness x=(28,) y=(46,) got=(0,) want=(98,)"]
+
+    def test_sampled_brace_comparison(self):
+        e1 = flows_brace(seven_chain_ring(), verify=False)
+        e2 = flows_brace(PreLieRing.from_structure_constants(
+            PGroup(7, (5,)), {(0, 0): (49,)}), verify=False)
+        assert _compare_braces(e1, e2, samples=300, seed=4) == "a=(7734,) b=(9938,)"
+        assert _compare_braces(e1, e1, samples=300, seed=4) is None
+
+    def test_reconstruction_report_passes_its_sampling_on(self, monkeypatch, z125_brace):
+        seen = []
+        compare = correspondence._compare_braces
+
+        def spy(b1, b2, **kw):
+            seen.append(kw)
+            return compare(b1, b2, **kw)
+
+        monkeypatch.setattr(correspondence, "_compare_braces", spy)
+        assert reconstruction_report(z125_brace, samples=321, seed=4).passed
+        assert seen == [{"samples": 321, "seed": 4}] * 2
 
 
 class TestReconstruction:

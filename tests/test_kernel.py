@@ -9,6 +9,7 @@ mutated tables and return witnesses that really fail their law.
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import inspect
 import os
@@ -39,6 +40,7 @@ from braceflows import (
 )
 from braceflows import _tables
 from braceflows import flows as flows_module
+from braceflows.braces import _circ_inverses
 from braceflows._tables import (
     TABLE_THRESHOLD,
     IndexContext,
@@ -244,6 +246,32 @@ class TestCircInverse:
         bad.flow_context = ctx
         with pytest.raises(StructureError, match="inverse computation failed"):
             bad.circ_inverse((3, 4))
+
+    def test_batched_inverses_match_pointwise(self):
+        """_circ_inverses takes circ_inverse's three branches (flows closed
+        form, first zero of a table row, mapped closure) and marks exactly
+        the entries that circ_inverse rejects."""
+        brace = flows_brace(two_generator_ring(), verify=False)
+        g, ctx = brace.group, brace.flow_context
+        table = brace.index_table().tolist()
+        table[5][1] = 0                                 # a wrong right inverse
+        table[9] = [v or 1 for v in table[9]]           # no right inverse at all
+        tampered = Brace.from_callable(g, lambda a, b: g.add(ctx.circ(a, b), (a[1], 0)),
+                                       materialize=False)
+        variants = [brace, Brace.from_table(g, table),
+                    Brace.from_callable(g, ctx.circ, materialize=False), tampered]
+        elems = list(g.elements())
+        for variant in variants:
+            inv, bad = _circ_inverses(variant, batch(elems)[:, None, :])
+            for a, row, failed in zip(elems, inv[:, 0], bad[:, 0]):
+                try:
+                    expect = variant.circ_inverse(a)
+                except StructureError:
+                    assert failed
+                else:
+                    assert not failed and tuple(int(c) for c in row) == expect
+        assert _circ_inverses(variants[1], batch(elems))[1].sum() >= 2
+        assert 0 < _circ_inverses(tampered, batch(elems))[1].sum() < len(elems)
 
     def test_tampered_table_is_caught(self):
         brace = flows_brace(ring_5ab(), verify=False)
@@ -564,10 +592,7 @@ class TestExhaustiveRule:
 def test_tracer_kernels_exist_with_the_table_last():
     """bench/tracer.py wraps these kernels by name and reads args[-1] as the
     table; a rename or reordering would silently break its --trace output."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = tracer_module()
     brace = order_49_brace()
     ctx = IndexContext(brace.group)
     table = brace.index_table()
@@ -581,3 +606,118 @@ def test_tracer_kernels_exist_with_the_table_last():
         kernel(*args)
         cells, nbytes = tracer._kernel_cost(name, args)
         assert cells > 0 and nbytes > 0
+
+
+def tracer_module():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve_as_install_looks_them_up():
+    """Tracer.install reads cls.__dict__[meth] for "Class.meth" targets and
+    getattr(module, name) otherwise; a traced name that is deleted, renamed
+    or only inherited must fail here rather than in bench/run.py --trace 1."""
+    for mod_name, attr, _, _ in tracer_module().TARGETS:
+        module = importlib.import_module(f"braceflows.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(module, cls_name)), attr
+        else:
+            assert callable(getattr(module, attr)), attr
+
+
+# ---------------------------------------------------------------------------
+# sampled checks above TABLE_THRESHOLD: one batch per check, witnesses in
+# draw order.  The pinned lines are those of the pointwise per-sample loops
+# the batched checks replaced, at the same seeds.
+
+
+def perturbed_e1_brace() -> Brace:
+    """The flows brace of a.b = 7ab on Z/7^5, with a o b moved by 1 whenever
+    a = 1 and b = 3 mod 7, pointwise and batched alike."""
+    base = flows_brace(PreLieRing.from_structure_constants(
+        PGroup(7, (5,)), {(0, 0): (7,)}), verify=False)
+    ctx = base.flow_context
+
+    def circ(a, b):
+        return ((ctx.circ(a, b)[0] + (a[0] % 7 == 1 and b[0] % 7 == 3)) % 7 ** 5,)
+
+    def circ_many(a, b):
+        hit = (a[..., 0] % 7 == 1) & (b[..., 0] % 7 == 3)
+        return (ctx.circ_many(a, b) + hit[..., None]) % 7 ** 5
+
+    return Brace.from_callable(base.group, circ, circ_many=circ_many)
+
+
+def first_failing_triple(g: PGroup, seed: int, count: int, holds) -> str | None:
+    """The pointwise reference: the first of `count` drawn triples that
+    fails `holds`, as a witness."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b, c = (g.random_element(rng) for _ in range(3))
+        if not holds(a, b, c):
+            return f"a={a} b={b} c={c}"
+    return None
+
+
+class TestSampledChecks:
+    def test_perturbed_circle_fails_with_the_pointwise_witnesses(self):
+        brace = perturbed_e1_brace()
+        assert brace.group.order > TABLE_THRESHOLD
+        assert verify_brace(brace, samples=300, seed=5).lines() == [
+            "CHECK abelian-add PASS [sampled n=300 seed=5]",
+            "CHECK zero-neutral PASS [sampled n=300 seed=5]",
+            "CHECK circ-associative FAIL witness a=(2640,) b=(15893,) c=(8572,)",
+            "CHECK circ-inverses FAIL witness a=(10611,)",
+            "CHECK left-brace-law FAIL witness a=(5265,) b=(9831,) c=(3816,)",
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_witness_is_the_first_failing_draw(self, seed):
+        brace = perturbed_e1_brace()
+        g, circ = brace.group, brace.circ
+        lines = {r.name: r.witness for r in verify_brace(brace, samples=300, seed=seed).results}
+        assert lines["circ-associative"] == first_failing_triple(
+            g, seed + 1, 300, lambda a, b, c: circ(circ(a, b), c) == circ(a, circ(b, c)))
+        assert lines["left-brace-law"] == first_failing_triple(
+            g, seed + 3, 300, lambda a, b, c:
+            circ(a, g.add(b, c)) == g.add(g.sub(circ(a, b), a), circ(a, c)))
+
+    def test_non_biadditive_ring_fails_with_the_pointwise_witnesses(self):
+        g = PGroup(7, (5,))
+        ring = PreLieRing.from_callable(g, lambda a, b: (7 * a[0] * a[0] * b[0] % 7 ** 5,))
+        assert verify_prelie(ring, samples=300, seed=2).lines() == [
+            "CHECK torsion-compatible PASS",
+            "CHECK biadditive FAIL witness left: a=(1853,) b=(3001,) c=(2781,)",
+            "CHECK prelie-identity-generators PASS [all generator triples]",
+            "CHECK prelie-identity FAIL witness a=(15171,) b=(12232,) c=(8753,)",
+            "CHECK left-nilpotent PASS [index 6, chain sizes [16807, 2401, 343, 49, 7, 1]]",
+        ]
+
+    @pytest.mark.parametrize("p, dtype", [(LOW, np.int64), (HIGH, object)])
+    def test_both_sides_of_the_int64_switch(self, p, dtype):
+        # a o b = a + b + a b^2 on Z/p: associativity and the brace law fail
+        g = PGroup(p, (1,))
+        brace = Brace.from_callable(
+            g, lambda a, b: ((a[0] + b[0] + a[0] * b[0] % p * b[0]) % p,),
+            circ_many=lambda a, b: (a + b + a * b % p * b) % p)
+        assert brace.dtype is dtype
+        assert [line.removeprefix("CHECK ") for line in
+                verify_brace(brace, samples=200, seed=9).lines()] == [
+            "abelian-add PASS [sampled n=200 seed=9]",
+            "zero-neutral PASS [sampled n=200 seed=9]",
+            "circ-associative FAIL witness a=(2454155475,) b=(139951793,) c=(1842064464,)",
+            "circ-inverses FAIL witness a=(1942955373,)",
+            "left-brace-law FAIL witness a=(2038265566,) b=(1155324522,) c=(2823822892,)",
+        ]
+
+    def test_sample_count_below_one_is_rejected(self):
+        ring = m1_ring()
+        for samples in (0, -5):
+            with pytest.raises(InputError, match="sample count must be at least 1"):
+                verify_prelie(ring, samples=samples)
+            with pytest.raises(InputError, match="sample count must be at least 1"):
+                verify_brace(flows_brace(ring, verify=False), samples=samples)
